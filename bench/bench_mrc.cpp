@@ -285,7 +285,7 @@ int run_mrc_out(const std::string& path, const std::vector<workload::AppSpec>& a
   options.meta["bench"] = "mrc";
   options.meta["flavour"] = "analytics";
   options.mrc = &entries;
-  if (!obs::write_json_file(path, bed.observer().metrics(), nullptr, options)) {
+  if (!obs::write_json_file(path, bed.observer().metrics(), options)) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return 1;
   }

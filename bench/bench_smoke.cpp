@@ -138,7 +138,7 @@ int run_timeline(const std::string& timeline_path, const std::vector<workload::A
   options.meta["flavour"] = "timeline";
   options.timeline = &timeline;
   options.alerts = &slo;
-  if (!obs::write_json_file(timeline_path, bed.observer().metrics(), nullptr, options)) {
+  if (!obs::write_json_file(timeline_path, bed.observer().metrics(), options)) {
     std::fprintf(stderr, "error: cannot write %s\n", timeline_path.c_str());
     return 1;
   }

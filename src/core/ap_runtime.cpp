@@ -144,16 +144,14 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
     tier.capacity_bytes = options_.config.flash_capacity_bytes;
     tier.segment_bytes = options_.config.flash_segment_bytes;
     tier.compact_dead_ratio = options_.config.flash_compact_dead_ratio;
-    flash_tier_ = std::make_unique<store::FlashTier>(*flash_device_, *options_.flash_media,
-                                                     tier, observer_);
+    flash_tier_ =
+        std::make_unique<store::FlashTier>(*flash_device_, *options_.flash_media, tier);
     tiered_ = std::make_unique<store::TieredStore>(network_.simulator(), *data_cache_,
                                                    *flash_tier_);
     tiered_->set_observer(observer_);
     // Mount: formatted media means this AP is restarting — replay the
     // journal so the flash tier comes back warm.
-    if (options_.flash_media->formatted()) {
-      flash_tier_->recover(network_.simulator().now());
-    }
+    if (options_.flash_media->formatted()) flash_tier_->recover();
     // Tier-aware PACM: eviction demotes, so l_d clamps to the flash read.
     if (auto* pacm = dynamic_cast<PacmPolicy*>(&data_cache_->policy())) {
       pacm->set_demotion_latency(
@@ -187,13 +185,8 @@ void ApRuntime::schedule_sweep() {
         // Revalidation retains expired entries on purpose; sweep flash only.
         std::size_t ram_reclaimed = 0;
         if (!data_cache_->retain_expired()) ram_reclaimed = data_cache_->sweep_expired(now);
-        std::size_t flash_reclaimed = 0;
-        if (tiered_ != nullptr) flash_reclaimed = tiered_->sweep_flash_expired(now);
+        if (tiered_ != nullptr) tiered_->sweep_flash_expired(now);
         stats_.record_sweep(ram_reclaimed);
-        if (observer_ != nullptr && ram_reclaimed + flash_reclaimed > 0) {
-          observer_->event(now, "ap", "sweep", "",
-                           std::to_string(ram_reclaimed + flash_reclaimed) + " bytes");
-        }
         schedule_sweep();
       }, APE_EVT("ap.cache.sweep"));
 }
@@ -408,11 +401,6 @@ void ApRuntime::handle_dns_query(const dns::DnsMessage& query, net::Endpoint /*c
       // DESIGN.md.)  Block-listed URLs force a real answer.
       hot_.dns_short_circuit.add();
       hot_.dns_upstream_avoided.add();
-      if (observer_ != nullptr) {
-        observer_->event(network_.simulator().now(), "ap", "dns_short_circuit",
-                         domain.to_string(),
-                         "flags=" + std::to_string(flags.entries.size()));
-      }
       answer_with_ip(query, domain, net::kDummyIp, 0, std::move(additionals),
                      std::move(respond));
       return;
@@ -637,8 +625,8 @@ void ApRuntime::handle_http(const http::HttpRequest& request,
   }
 
   // Request frequency feeds PACM regardless of how the fetch resolves.
-  if (const auto* app_header = http::find_header(request.headers, "X-Ape-App")) {
-    freq_.record_request(static_cast<AppId>(std::stoul(*app_header)), now);
+  if (const auto app = http::find_decimal_header<AppId>(request.headers, "X-Ape-App")) {
+    freq_.record_request(*app, now);
   }
 
   // Revalidation candidate: look for an expired-but-present entry *before*
@@ -661,7 +649,6 @@ void ApRuntime::handle_http(const http::HttpRequest& request,
     // Flash hit: read the body off the device (paying flash time rather
     // than an edge round trip), promote if the RAM policy takes it, serve.
     hot_.http_flash_serves.add();
-    if (observer_ != nullptr) observer_->event(now, "ap", "flash_hit", key);
     obs::ScopedTraceContext ambient(spans(), serve_span);  // -> ap.flash.read
     tiered_->fetch_flash(
         key, now,
@@ -730,10 +717,6 @@ void ApRuntime::miss_fallback(const http::HttpRequest& request, UrlHash hash,
     // Plain cache fetch that raced an eviction/expiry: the client falls
     // back to the edge on 404.
     hot_.http_race_fallback.add();
-    if (observer_ != nullptr) {
-      observer_->event(network_.simulator().now(), "ap", "race_fallback",
-                       hash_to_string(hash));
-    }
     respond(http::make_status_response(404, "not in AP cache"));
     return;
   }
@@ -746,10 +729,6 @@ void ApRuntime::relay_from_peer(const http::HttpRequest& request, UrlHash hash,
                                 const obs::TraceContext& parent,
                                 http::HttpServer::Responder respond) {
   const std::string key = hash_to_string(hash);
-  if (observer_ != nullptr) {
-    observer_->event(network_.simulator().now(), "ap", "peer_relay", key,
-                     "ap" + std::to_string(peer.ap_id));
-  }
 
   http::HttpRequest relay;
   relay.method = "GET";
@@ -815,18 +794,11 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
                                const obs::TraceContext& parent,
                                http::HttpServer::Responder respond) {
   // Delegation metadata shipped by the client library (Sec. IV-B2).
-  std::uint32_t ttl_seconds = 600;
-  int priority = 1;
-  AppId app = 0;
-  if (const auto* v = http::find_header(request.headers, "X-Ape-Ttl")) {
-    ttl_seconds = static_cast<std::uint32_t>(std::stoul(*v));
-  }
-  if (const auto* v = http::find_header(request.headers, "X-Ape-Priority")) {
-    priority = std::stoi(*v);
-  }
-  if (const auto* v = http::find_header(request.headers, "X-Ape-App")) {
-    app = static_cast<AppId>(std::stoul(*v));
-  }
+  const std::uint32_t ttl_seconds =
+      http::find_decimal_header<std::uint32_t>(request.headers, "X-Ape-Ttl").value_or(600);
+  const int priority =
+      http::find_decimal_header<int>(request.headers, "X-Ape-Priority").value_or(1);
+  const AppId app = http::find_decimal_header<AppId>(request.headers, "X-Ape-App").value_or(0);
 
   const std::string base = request.url.base();
   auto& info = url_index_[hash];
@@ -841,7 +813,6 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
   ++delegations_;
   const sim::Time fetch_start = network_.simulator().now();
   hot_.delegations.add();
-  if (observer_ != nullptr) observer_->event(fetch_start, "ap", "delegate", base);
 
   obs::TraceContext delegate_span;
   if (obs::SpanLog* log = spans(); log != nullptr) {
@@ -897,13 +868,11 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
             // locally — no body crossed the WAN.
             ++revalidations_;
             hot_.revalidations.add();
-            if (observer_ != nullptr) observer_->event(now, "ap", "revalidate", key);
             cache::CacheEntry entry = std::move(*stale);
-            std::uint32_t ttl = ttl_seconds;
-            if (const auto* v =
-                    http::find_header(result.value().headers, "X-Object-TTL")) {
-              ttl = static_cast<std::uint32_t>(std::stoul(*v));
-            }
+            const std::uint32_t ttl =
+                http::find_decimal_header<std::uint32_t>(result.value().headers,
+                                                         "X-Object-TTL")
+                    .value_or(ttl_seconds);
             entry.expires = now + sim::seconds(ttl);
             const std::size_t size = entry.size_bytes;
             {
@@ -946,10 +915,6 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
             // Too large to ever cache: remember that and stop delegating.
             block_list_.block(key);
             hot_.block_listed.add();
-            if (observer_ != nullptr) {
-              observer_->event(now, "ap", "block_list", key,
-                               std::to_string(size) + " bytes");
-            }
           } else {
             cache::CacheEntry entry;
             entry.key = key;
@@ -967,9 +932,6 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
             }
             hot_.cache_inserts.add();
             hot_.delegation_bytes_fetched.add(size);
-            if (observer_ != nullptr) {
-              observer_->event(now, "ap", "admit", key, std::to_string(size) + " bytes");
-            }
           }
 
           // The pulled body crossed the WAN into the AP (kernel RX) and is

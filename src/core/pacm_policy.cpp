@@ -65,10 +65,6 @@ std::optional<std::vector<std::string>> PacmPolicy::select_victims(
   last_ = solver_.select_evictions(cached, incoming.size_bytes, frequencies);
   if (observer_ != nullptr) {
     observer_->spans().close(solve_span, now);
-    observer_->event(now, "pacm", "solve", incoming.key,
-                     (last_.exact ? "exact" : "greedy") + std::string(" rounds=") +
-                         std::to_string(last_.repair_rounds) +
-                         " evict=" + std::to_string(last_.evict.size()));
   }
   return last_.evict;
 }

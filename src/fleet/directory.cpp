@@ -286,9 +286,6 @@ void DirectoryClient::lookup_peer(const std::string& key, const obs::TraceContex
 void DirectoryClient::note_stale(const std::string& key) {
   hot_.stale_redirects.add();
   answers_.erase(key);
-  if (observer_ != nullptr) {
-    observer_->event(network_.simulator().now(), "dir", "stale_redirect", key);
-  }
 }
 
 void DirectoryClient::on_timeout(std::uint64_t seq) {

@@ -8,7 +8,7 @@
 namespace ape::fleet {
 
 FleetTestbed::FleetTestbed(FleetParams params)
-    : params_(std::move(params)), obs_(params_.trace_capacity, params_.span_capacity) {
+    : params_(std::move(params)), obs_(params_.span_capacity) {
   assert(params_.ap_count > 0);
   assert(params_.shard_count > 0);
   // RETRACT must mean "copy gone"; a flash tier keeps serving demoted
@@ -214,8 +214,6 @@ void FleetTestbed::roam(Client& client, std::uint32_t new_ap) {
   topology_.set_link_down(client.node, aps_[client.ap].node, true);
   client.ap = new_ap;
   client.runtime->roam_to(net::Endpoint{aps_[new_ap].ip, net::kDnsPort}, aps_[new_ap].ip);
-  obs_.event(sim_.now(), "fleet", "roam", topology_.node_name(client.node),
-             "ap" + std::to_string(new_ap));
 }
 
 void FleetTestbed::restart_shard(std::size_t index) {
@@ -229,8 +227,6 @@ void FleetTestbed::restart_shard(std::size_t index) {
   slot.service = std::make_unique<DirectoryShard>(*network_, slot.node, *slot.cpu,
                                                   static_cast<std::uint32_t>(index),
                                                   slot.epoch, &obs_);
-  obs_.event(sim_.now(), "fleet", "shard_restart", "shard" + std::to_string(index),
-             "epoch" + std::to_string(slot.epoch));
 }
 
 void FleetTestbed::set_shard_reachable(std::size_t index, bool up) {

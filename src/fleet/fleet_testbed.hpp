@@ -68,9 +68,9 @@ struct FleetParams {
   std::uint32_t dir_publish_ttl_s = 60;
   sim::Duration dir_lease_interval = sim::seconds(20.0);
 
-  // Observability (same opt-in semantics as TestbedParams: spans/timeline
-  // change wire bytes / schedule ticks, so they are off by default).
-  std::size_t trace_capacity = obs::TraceLog::kDefaultCapacity;
+  // Observability beyond the always-on metrics (same opt-in semantics as
+  // TestbedParams: spans/timeline change wire bytes / schedule ticks, so
+  // they are off by default).
   bool enable_spans = false;
   std::size_t span_capacity = obs::SpanLog::kDefaultCapacity;
   bool enable_timeline = false;

@@ -57,7 +57,9 @@ Result<ParsedHead> parse_head(const net::TcpMessage& msg) {
     std::string value = line.substr(colon + 1);
     if (!value.empty() && value.front() == ' ') value.erase(0, 1);
     if (iequals(key, "X-Sim-Body")) {
-      parsed.simulated_body = std::stoull(value);
+      const auto body = parse_decimal<std::size_t>(value);
+      if (!body) return make_error<ParsedHead>("malformed X-Sim-Body");
+      parsed.simulated_body = *body;
     } else if (!iequals(key, "Content-Length")) {
       parsed.headers.emplace_back(std::move(key), std::move(value));
     }

@@ -7,11 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/result.hpp"
+#include "http/decimal.hpp"
 #include "http/url.hpp"
 #include "net/tcp.hpp"
 
@@ -20,6 +22,14 @@ namespace ape::http {
 using Headers = std::vector<std::pair<std::string, std::string>>;
 
 [[nodiscard]] const std::string* find_header(const Headers& headers, const std::string& name);
+
+// The named header as a decimal T; empty when absent or malformed.
+template <typename T>
+[[nodiscard]] std::optional<T> find_decimal_header(const Headers& headers,
+                                                   const std::string& name) {
+  const std::string* value = find_header(headers, name);
+  return value != nullptr ? parse_decimal<T>(*value) : std::nullopt;
+}
 
 // Causal-trace context carrier (DESIGN.md §5f).  The header is real wire
 // bytes, so callers must only set it when span tracing is enabled — the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 
+#include "http/decimal.hpp"
+
 namespace ape::http {
 
 Result<Url> Url::parse(const std::string& text) {
@@ -32,9 +34,9 @@ Result<Url> Url::parse(const std::string& text) {
                      [](unsigned char c) { return std::isdigit(c); })) {
       return make_error<Url>("invalid port");
     }
-    const unsigned long port = std::stoul(std::string(port_text));
-    if (port == 0 || port > 65535) return make_error<Url>("port out of range");
-    url.port = static_cast<std::uint16_t>(port);
+    const auto port = parse_decimal<std::uint16_t>(port_text);
+    if (!port || *port == 0) return make_error<Url>("port out of range");
+    url.port = *port;
   } else {
     url.host = std::string(authority);
   }

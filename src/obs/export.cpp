@@ -234,8 +234,8 @@ std::string json_escape(const std::string& raw) {
   return out;
 }
 
-void write_json(std::ostream& out, const MetricsRegistry& registry, const TraceLog* trace,
-                const ExportOptions& options, const SpanLog* spans) {
+void write_json(std::ostream& out, const MetricsRegistry& registry,
+                const ExportOptions& options) {
   const auto stable = [](const auto& entry) {
     return entry.volatility == Volatility::Stable;
   };
@@ -335,39 +335,6 @@ void write_json(std::ostream& out, const MetricsRegistry& registry, const TraceL
     out << "}";
   }
 
-  if (options.include_trace && trace != nullptr) {
-    out << ",\"trace\":{\"capacity\":" << trace->capacity()
-        << ",\"recorded\":" << trace->recorded() << ",\"dropped\":" << trace->dropped()
-        << ",\"events\":[";
-    first = true;
-    for (const TraceEvent& ev : trace->snapshot()) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"t_us\":" << ev.at.since_epoch.count() << ",\"component\":\""
-          << json_escape(ev.component) << "\",\"kind\":\"" << json_escape(ev.kind)
-          << "\",\"key\":\"" << json_escape(ev.key) << "\",\"detail\":\""
-          << json_escape(ev.detail) << "\"}";
-    }
-    out << "]}";
-  }
-
-  if (options.include_spans && spans != nullptr) {
-    out << ",\"spans\":{\"capacity\":" << spans->capacity()
-        << ",\"recorded\":" << spans->recorded() << ",\"dropped\":" << spans->dropped()
-        << ",\"open\":" << spans->open_count() << ",\"spans\":[";
-    first = true;
-    for (const Span& span : spans->spans()) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"trace\":" << span.trace << ",\"span\":" << span.id
-          << ",\"parent\":" << span.parent << ",\"name\":\"" << json_escape(span.name)
-          << "\",\"component\":\"" << json_escape(span.component) << "\",\"key\":\""
-          << json_escape(span.key) << "\",\"start_us\":" << span.start.since_epoch.count()
-          << ",\"end_us\":" << span.end.since_epoch.count() << "}";
-    }
-    out << "]}";
-  }
-
   if (options.timeline != nullptr) {
     const Timeline& tl = *options.timeline;
     out << ",\"timeseries\":{\"interval_us\":" << tl.interval().count() << ",\"windows\":[";
@@ -440,10 +407,9 @@ void write_json(std::ostream& out, const MetricsRegistry& registry, const TraceL
   out << "}\n";
 }
 
-std::string to_json(const MetricsRegistry& registry, const TraceLog* trace,
-                    const ExportOptions& options, const SpanLog* spans) {
+std::string to_json(const MetricsRegistry& registry, const ExportOptions& options) {
   std::ostringstream os;
-  write_json(os, registry, trace, options, spans);
+  write_json(os, registry, options);
   return os.str();
 }
 
@@ -469,11 +435,10 @@ void write_csv(std::ostream& out, const MetricsRegistry& registry, bool include_
 }
 
 bool write_json_file(const std::string& path, const MetricsRegistry& registry,
-                     const TraceLog* trace, const ExportOptions& options,
-                     const SpanLog* spans) {
+                     const ExportOptions& options) {
   std::ofstream file(path);
   if (!file) return false;
-  write_json(file, registry, trace, options, spans);
+  write_json(file, registry, options);
   return static_cast<bool>(file);
 }
 

@@ -1,8 +1,12 @@
-// Machine-readable snapshot exporters for MetricsRegistry / TraceLog.
+// Machine-readable snapshot exporters for a MetricsRegistry and the opt-in
+// observability planes (timeline, SLO alerts, engine profile, MRC).
 //
 // The JSON schema ("ape.obs.v1") is the contract the bench suite, the
 // committed baselines under bench/baselines/ and scripts/
-// check_bench_regression.py all share — change it only additively:
+// check_bench_regression.py all share — change it only additively.  (The
+// opt-in "trace" and "spans" sections were removed: no caller ever enabled
+// them, and spans leave the program through obs/trace_export's Perfetto
+// writer instead.)
 //
 //   {
 //     "schema": "ape.obs.v1",
@@ -14,16 +18,6 @@
 //                                "stddev": <f>, "p50": <f>, "p90": <f>,
 //                                "p95": <f>, "p99": <f>}, ... },
 //     "volatile":   { "gauges": {...}, "histograms": {...} },   // opt-in
-//     "trace":      { "capacity": <n>, "recorded": <n>, "dropped": <n>,
-//                     "events": [{"t_us": <int>, "component": "...",
-//                                 "kind": "...", "key": "...",
-//                                 "detail": "..."}, ...] },     // opt-in
-//     "spans":      { "capacity": <n>, "recorded": <n>, "dropped": <n>,
-//                     "open": <n>,
-//                     "spans": [{"trace": <id>, "span": <id>,
-//                                "parent": <id>, "name": "...",
-//                                "component": "...", "key": "...",
-//                                "start_us": <int>, "end_us": <int>}, ...] },  // opt-in
 //     "profile":    { "kinds": { "<kind>": {"scheduled": <n>, "cancelled": <n>,
 //                                "fired": <n>, "smallfn_heap": <n>}, ... },
 //                     "engine": { "events_fired": <n>, "events_cancelled": <n>,
@@ -74,9 +68,10 @@
 //                                 "evict": {...}, "totals": {...} } }  // opt-in
 //   }
 //
-// The drop counts in "trace"/"spans" exist so a truncated log is never
-// silently read as complete: consumers must treat dropped > 0 as "tail
-// missing" (spans drop newest-first, so recorded traces stay consistent).
+// Span runs (DESIGN.md §5f) export spans through obs/trace_export's Perfetto
+// writer; the snapshot carries only the span log's bookkeeping as the
+// obs.spans.{recorded,dropped} counters, so consumers can treat dropped > 0
+// as "tail missing" (spans drop newest-first, recorded traces stay whole).
 //
 // Doubles are rendered with std::to_chars (shortest round-trip form), so a
 // deterministic run exports a byte-identical file.  Wall-clock instruments
@@ -92,9 +87,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
-#include "obs/span_log.hpp"
 #include "obs/timeline.hpp"
-#include "obs/trace.hpp"
 
 namespace ape::obs {
 
@@ -113,8 +106,6 @@ struct AnalyticsExportEntry {
 struct ExportOptions {
   std::map<std::string, std::string> meta;  // run identity (bench name, ...)
   bool include_volatile = false;
-  bool include_trace = false;
-  bool include_spans = false;
   // Timeline-run extensions (DESIGN.md §5g): non-null emits "timeseries" /
   // "alerts".  Default runs leave them null, so the snapshot bytes are
   // unchanged — the same gating contract as the opt-in sections above.
@@ -130,13 +121,10 @@ struct ExportOptions {
 };
 
 void write_json(std::ostream& out, const MetricsRegistry& registry,
-                const TraceLog* trace = nullptr, const ExportOptions& options = {},
-                const SpanLog* spans = nullptr);
+                const ExportOptions& options = {});
 
 [[nodiscard]] std::string to_json(const MetricsRegistry& registry,
-                                  const TraceLog* trace = nullptr,
-                                  const ExportOptions& options = {},
-                                  const SpanLog* spans = nullptr);
+                                  const ExportOptions& options = {});
 
 // Flat rows `name,kind,field,value` (kind in {counter, gauge, histogram}),
 // one line per scalar — trivially ingestible by spreadsheets / pandas.
@@ -146,8 +134,7 @@ void write_csv(std::ostream& out, const MetricsRegistry& registry,
 // Writes the JSON snapshot to `path`; returns false when the file cannot
 // be opened.
 bool write_json_file(const std::string& path, const MetricsRegistry& registry,
-                     const TraceLog* trace = nullptr, const ExportOptions& options = {},
-                     const SpanLog* spans = nullptr);
+                     const ExportOptions& options = {});
 
 // Deterministic shortest-round-trip rendering ("0.5", not "5.000000e-01");
 // NaN/Inf degrade to 0 (JSON has no representation for them).

@@ -17,7 +17,7 @@ const char* to_string(System system) noexcept {
 }
 
 Testbed::Testbed(TestbedParams params)
-    : params_(std::move(params)), obs_(params_.trace_capacity, params_.span_capacity) {
+    : params_(std::move(params)), obs_(params_.span_capacity) {
   obs_.spans().set_enabled(params_.enable_spans);
   if (params_.enable_analytics) {
     analytics_ = std::make_unique<obs::CacheAnalytics>(params_.analytics);
@@ -277,8 +277,6 @@ void Testbed::collect_metrics() {
   // runs so default ape.obs.v1 exports stay byte-identical.  The cursor
   // makes repeated collection idempotent (each span is folded in once).
   if (obs_.spans_enabled()) {
-    m.counter("obs.trace.recorded").set(obs_.trace().recorded());
-    m.counter("obs.trace.dropped").set(obs_.trace().dropped());
     m.counter("obs.spans.recorded").set(obs_.spans().recorded());
     m.counter("obs.spans.dropped").set(obs_.spans().dropped());
     m.gauge("obs.spans.open").set(static_cast<double>(obs_.spans().open_count()));

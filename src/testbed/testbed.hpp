@@ -64,9 +64,6 @@ struct TestbedParams {
   // (e.g. run the APE-CACHE workflow with GDSF or FIFO management).
   std::optional<core::ApRuntime::Policy> policy_override;
 
-  // Sim-time trace ring size for this run's Observer (0 disables tracing).
-  std::size_t trace_capacity = obs::TraceLog::kDefaultCapacity;
-
   // Causal request tracing (DESIGN.md §5f).  Off by default: enabling it
   // injects trace-context carriers into DNS/HTTP messages (real wire
   // bytes), so traced runs are *not* byte-identical to default runs.
@@ -135,7 +132,8 @@ class Testbed {
   [[nodiscard]] net::IpAddress ap_ip() const noexcept { return ap_ip_; }
   [[nodiscard]] net::IpAddress edge_ip() const noexcept { return edge_ip_; }
 
-  // Per-run observability bundle: the AP, clients and PACM push into it
+  // Per-run observability bundle (metrics, spans, timeline): the AP,
+  // clients and PACM push counters — and spans, when enabled — into it
   // while events happen; collect_metrics() adds the pull-phase gauges.
   [[nodiscard]] obs::Observer& observer() noexcept { return obs_; }
   [[nodiscard]] const obs::Observer& observer() const noexcept { return obs_; }

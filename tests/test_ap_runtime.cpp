@@ -2,7 +2,10 @@
 // delegation, block list, dummy-IP short-circuit, resource model.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/url_hash.hpp"
+#include "http/endpoint.hpp"
 #include "testbed/testbed.hpp"
 #include "workload/real_apps.hpp"
 
@@ -94,6 +97,26 @@ TEST_F(ApFixture, DelegationFetchesCachesAndServes) {
   // Millisecond-level: well under the edge path.
   EXPECT_LT(sim::to_millis(second.total), 20.0);
   EXPECT_LT(second.total, first.total);
+}
+
+// Delegation metadata is wire input from a client: a malformed X-Ape-App
+// falls back to the default app instead of throwing out of the simulation.
+TEST_F(ApFixture, MalformedDelegationHeaderFallsBackToDefaults) {
+  build(System::ApeCache);
+  http::HttpRequest req;
+  req.url = http::Url::parse("http://api.two.example/alpha").value();
+  req.headers.emplace_back("X-Ape-App", "x");
+  req.headers.emplace_back("X-Ape-Delegate", "1");
+  http::HttpClient http(bed->tcp(), client->node);
+  std::optional<Result<http::HttpResponse>> out;
+  http.fetch(net::Endpoint{bed->ap_ip(), net::kHttpPort}, std::move(req),
+             [&out](Result<http::HttpResponse> r, http::FetchTiming) { out = std::move(r); });
+  EXPECT_NO_THROW(bed->simulator().run());
+  ASSERT_TRUE(out.has_value());
+  ASSERT_TRUE(out->ok());
+  EXPECT_EQ(out->value().status, 200);
+  EXPECT_EQ(out->value().total_body_bytes(), 10'000u);
+  EXPECT_EQ(bed->ap().delegations_performed(), 1u);
 }
 
 TEST_F(ApFixture, DummyIpShortCircuitWhenAllCached) {

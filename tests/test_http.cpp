@@ -53,6 +53,9 @@ TEST(Url, RejectsMalformed) {
   EXPECT_FALSE(Url::parse("http://h.com:notaport/").ok());
   EXPECT_FALSE(Url::parse("http://h.com:0/").ok());
   EXPECT_FALSE(Url::parse("").ok());
+  // Overflows every integer type: an error, never a throw.
+  EXPECT_EQ(Url::parse("http://h:99999999999999999999999/").error().message,
+            "port out of range");
 }
 
 TEST(Url, RoundTripEquality) {
@@ -113,6 +116,28 @@ TEST(HttpMessage, FromTcpRejectsGarbage) {
   junk.bytes = {0x01, 0x02, 0x03};
   EXPECT_FALSE(HttpRequest::from_tcp(junk).ok());
   EXPECT_FALSE(HttpResponse::from_tcp(junk).ok());
+}
+
+// X-Sim-Body arrives from another node: a malformed or overflowing value
+// must surface as a parse error (the listener answers 400), not a throw.
+TEST(HttpMessage, FromTcpRejectsMalformedSimBodyWithoutThrowing) {
+  HttpRequest req;
+  req.url = Url::parse("http://h.example/obj").value();
+  req.simulated_body_bytes = 777;
+  const net::TcpMessage good = req.to_tcp();
+  const std::string text(good.bytes.begin(), good.bytes.end());
+  const std::string field = "X-Sim-Body: 777";
+  ASSERT_NE(text.find(field), std::string::npos);
+
+  for (const std::string value : {"abc", "1234567890123456789012345"}) {
+    std::string bad_text = text;
+    bad_text.replace(bad_text.find(field), field.size(), "X-Sim-Body: " + value);
+    net::TcpMessage bad;
+    bad.bytes.assign(bad_text.begin(), bad_text.end());
+    Result<HttpRequest> parsed = make_error<HttpRequest>("unset");
+    EXPECT_NO_THROW(parsed = HttpRequest::from_tcp(bad)) << value;
+    EXPECT_FALSE(parsed.ok()) << value;
+  }
 }
 
 TEST(HttpMessage, StatusHelpers) {

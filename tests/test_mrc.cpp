@@ -13,6 +13,7 @@
 
 #include "cache/lru_policy.hpp"
 #include "cache/object_store.hpp"
+#include "json_keys.hpp"
 #include "obs/cache_analytics.hpp"
 #include "obs/export.hpp"
 #include "obs/mrc.hpp"
@@ -369,7 +370,7 @@ TEST(CacheAnalytics, ExportEmitsMrcSectionWithRollup) {
   MetricsRegistry m;
   ExportOptions options;
   options.mrc = &entries;
-  const std::string json = to_json(m, nullptr, options);
+  const std::string json = to_json(m, options);
 
   EXPECT_NE(json.find("\"mrc\":{\"aps\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"ap0\""), std::string::npos);
@@ -381,8 +382,10 @@ TEST(CacheAnalytics, ExportEmitsMrcSectionWithRollup) {
   EXPECT_NE(json.find("\"totals\":{\"hits\":267,\"misses\":133,\"delegations\":0}"),
             std::string::npos);
 
+  EXPECT_EQ(ape::test::top_level_keys(json), ape::test::core_sections_plus("mrc"));
+
   // Without the option the section must not exist at all.
-  EXPECT_EQ(to_json(m, nullptr, {}).find("\"mrc\""), std::string::npos);
+  EXPECT_EQ(ape::test::top_level_keys(to_json(m, {})), ape::test::core_sections());
 }
 
 // ------------------------------------------------- testbed integration
@@ -455,7 +458,7 @@ TEST(CacheAnalyticsTestbed, DefaultRunExportsNoAnalyticsKeys) {
   const auto result = testbed::run_workload(bed, apps, short_config());
 
   EXPECT_EQ(bed.analytics(), nullptr);
-  const std::string json = to_json(result.metrics, nullptr, {});
+  const std::string json = to_json(result.metrics, {});
   // The gate: a default run's snapshot carries no analytics keys, so the
   // four committed baselines cannot move when the plane changes.
   EXPECT_EQ(json.find("cache.evict."), std::string::npos);
@@ -468,7 +471,7 @@ TEST(CacheAnalyticsTestbed, DefaultRunExportsNoAnalyticsKeys) {
   testbed::Testbed on_bed(on_params);
   for (const auto& app : apps) on_bed.host_app(app);
   const auto on = testbed::run_workload(on_bed, apps, short_config());
-  const std::string on_json = to_json(on.metrics, nullptr, {});
+  const std::string on_json = to_json(on.metrics, {});
   EXPECT_NE(on_json.find("ap.cache.evict.capacity"), std::string::npos);
   EXPECT_NE(on_json.find("ap.cache.mrc.oracle.sampled"), std::string::npos);
 }

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "json_keys.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -235,15 +236,15 @@ TEST(ProfileExport, SectionAppearsOnlyWhenRequested) {
 
   obs::MetricsRegistry m;
   std::ostringstream without;
-  obs::write_json(without, m, nullptr, {});
-  EXPECT_EQ(without.str().find("\"profile\""), std::string::npos);
+  obs::write_json(without, m, {});
+  EXPECT_EQ(test::top_level_keys(without.str()), test::core_sections());
 
   obs::ExportOptions options;
   options.profile = &profiler;
   std::ostringstream with;
-  obs::write_json(with, m, nullptr, options);
+  obs::write_json(with, m, options);
   const std::string text = with.str();
-  EXPECT_NE(text.find("\"profile\""), std::string::npos);
+  EXPECT_EQ(test::top_level_keys(text), test::core_sections_plus("profile"));
   EXPECT_NE(text.find("\"test.export.kind\":{\"scheduled\":1"), std::string::npos);
   EXPECT_NE(text.find("\"engine\":{\"events_fired\":1"), std::string::npos);
   // Wallclock subsection stays out unless the stratum was enabled.
@@ -261,7 +262,7 @@ TEST(ProfileExport, WallclockSubsectionFollowsTheGate) {
   obs::ExportOptions options;
   options.profile = &profiler;
   std::ostringstream out;
-  obs::write_json(out, m, nullptr, options);
+  obs::write_json(out, m, options);
   EXPECT_NE(out.str().find("\"wallclock\":{\"enabled\":true"), std::string::npos);
 }
 
@@ -279,7 +280,7 @@ TEST(ProfileExport, NetSectionAppearsWhenFed) {
   obs::ExportOptions options;
   options.profile = &profiler;
   std::ostringstream out;
-  obs::write_json(out, m, nullptr, options);
+  obs::write_json(out, m, options);
   EXPECT_NE(out.str().find("\"net\":{\"datagrams_sent\":7"), std::string::npos);
 }
 
