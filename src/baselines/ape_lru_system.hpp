@@ -6,7 +6,6 @@
 
 #include "baselines/system_interface.hpp"
 #include "common/shard.hpp"
-#include "core/ap_runtime.hpp"
 
 namespace ape::baselines {
 
@@ -30,11 +29,5 @@ class ApeFetcher final : public ObjectFetcher {
   APE_SHARD_LOCAL(client) core::ClientRuntime& runtime_;
   APE_SHARD_LOCAL(client) std::string label_;
 };
-
-[[nodiscard]] inline core::ApRuntime::Options make_ape_lru_options(
-    core::ApRuntime::Options base) {
-  base.policy = core::ApRuntime::Policy::Lru;
-  return base;
-}
 
 }  // namespace ape::baselines

@@ -245,16 +245,11 @@ void ApRuntime::snapshot_metrics() {
   // ledger's histograms/ratios, per-app attribution and MRC bookkeeping.
   // Every key here is gated so default runs stay byte-identical.
   if (analytics_ != nullptr) {
-    m.counter("ap.cache.evict.capacity").set(stats_.removals(cache::RemovalCause::Evicted));
-    m.counter("ap.cache.evict.expired").set(stats_.removals(cache::RemovalCause::Expired));
-    m.counter("ap.cache.evict.replaced").set(stats_.removals(cache::RemovalCause::Replaced));
-    m.counter("ap.cache.evict.invalidated").set(stats_.removals(cache::RemovalCause::Erased));
-    m.counter("ap.cache.evict.cleared").set(stats_.removals(cache::RemovalCause::Cleared));
     // Demotions are not removals (the object lives on in flash) but they do
     // leave RAM — reported beside the causes to close the budget story.
     m.counter("ap.cache.evict.demoted").set(tiered_ != nullptr ? tiered_->demotions() : 0);
-    analytics_->record_metrics(m, "ap.");
   }
+  record_analytics_metrics(m, "ap.");
 
   // Per-app storage efficiency C_a = cached bytes / R(a) — the fairness
   // signal PACM's Gini constraint bounds (paper Sec. IV-C).  Ordered map:
@@ -270,6 +265,20 @@ void ApRuntime::snapshot_metrics() {
       m.gauge(prefix + ".efficiency_ca").set(static_cast<double>(bytes) / freq);
     }
   }
+}
+
+void ApRuntime::record_analytics_metrics(obs::MetricsRegistry& registry,
+                                         const std::string& prefix) const {
+  if (analytics_ == nullptr) return;
+  const auto set = [&](const char* cause, cache::RemovalCause removal) {
+    registry.counter(prefix + "cache.evict." + cause).set(stats_.removals(removal));
+  };
+  set("capacity", cache::RemovalCause::Evicted);
+  set("expired", cache::RemovalCause::Expired);
+  set("replaced", cache::RemovalCause::Replaced);
+  set("invalidated", cache::RemovalCause::Erased);
+  set("cleared", cache::RemovalCause::Cleared);
+  analytics_->record_metrics(registry, prefix);
 }
 
 void ApRuntime::set_peer_probe(PeerResolver* resolver, std::uint32_t ap_id) {

@@ -122,6 +122,11 @@ class ApRuntime {
   // No-op without one.
   void snapshot_metrics();
 
+  // With an analytics plane attached: per-cause removal counters
+  // <prefix>cache.evict.{capacity,expired,...} plus the plane's report.
+  void record_analytics_metrics(obs::MetricsRegistry& registry,
+                                const std::string& prefix) const;
+
  private:
   // ---- DNS side ----------------------------------------------------------
   class Dns final : public dns::DnsServer {

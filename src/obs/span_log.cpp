@@ -178,15 +178,4 @@ std::vector<TraceAttribution> attribute_traces(const std::vector<Span>& spans) {
   return out;
 }
 
-std::size_t record_span_histograms(const std::vector<Span>& spans, MetricsRegistry& registry,
-                                   std::size_t from_index) {
-  for (std::size_t i = from_index; i < spans.size(); ++i) {
-    const Span& span = spans[i];
-    if (!span.closed) continue;
-    registry.histogram("span." + span.name + "_ms", "ms")
-        .record(sim::to_millis(span.duration()));
-  }
-  return spans.size();
-}
-
 }  // namespace ape::obs

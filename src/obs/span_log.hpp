@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/time.hpp"
 
@@ -132,11 +131,5 @@ struct TraceAttribution {
 };
 
 [[nodiscard]] std::vector<TraceAttribution> attribute_traces(const std::vector<Span>& spans);
-
-// Folds per-span-kind latency histograms ("span.<name>_ms") into
-// `registry`, starting at `from_index` (pass the previous return value to
-// make repeated collection idempotent).  Returns spans.size().
-std::size_t record_span_histograms(const std::vector<Span>& spans, MetricsRegistry& registry,
-                                   std::size_t from_index = 0);
 
 }  // namespace ape::obs

@@ -23,7 +23,6 @@ Testbed::Testbed(TestbedParams params)
     analytics_ = std::make_unique<obs::CacheAnalytics>(params_.analytics);
   }
   build_topology();
-  build_dns();
   build_servers();
   if (params_.enable_timeline) build_telemetry();
 }
@@ -74,69 +73,27 @@ void Testbed::flush_timeline() {
 
 void Testbed::build_topology() {
   ap_node_ = topology_.add_node("ap");
-  edge_node_ = topology_.add_node("edge");
-  ldns_node_ = topology_.add_node("ldns");
-  adns_node_ = topology_.add_node("adns");
-  cdn_dns_node_ = topology_.add_node("cdn-dns");
+  backend_.add_nodes(topology_);
   controller_node_ = topology_.add_node("ec2-controller");
 
-  // AP -> edge: the 7-hop path of Fig. 9.
-  topology_.add_multi_hop_path(ap_node_, edge_node_, params_.edge_hops, params_.edge_per_hop,
-                               params_.wan_bandwidth);
+  // AP -> edge (7 hops) and AP -> LDNS -> ADNS / CDN DNS.
+  backend_.add_links(topology_, ap_node_, params_);
   // AP -> Wi-Cache controller: 12 hops.
   topology_.add_multi_hop_path(ap_node_, controller_node_, params_.controller_hops,
                                params_.controller_per_hop, params_.wan_bandwidth);
-  // AP -> LDNS (the ISP resolver), then resolver-side services.
-  topology_.add_link(ap_node_, ldns_node_,
-                     net::LinkSpec{params_.ldns_one_way, params_.wan_bandwidth});
-  topology_.add_link(ldns_node_, adns_node_,
-                     net::LinkSpec{params_.adns_from_ldns, params_.wan_bandwidth});
-  topology_.add_link(ldns_node_, cdn_dns_node_,
-                     net::LinkSpec{params_.cdn_dns_from_ldns, params_.wan_bandwidth});
 
   network_ = std::make_unique<net::Network>(sim_, topology_);
   tcp_ = std::make_unique<net::TcpTransport>(*network_);
   tcp_->set_observer(&obs_);
 
   ap_ip_ = net::IpAddress::from_octets(192, 168, 8, 1);
-  edge_ip_ = net::IpAddress::from_octets(10, 1, 0, 2);
-  ldns_ip_ = net::IpAddress::from_octets(10, 2, 0, 2);
-  adns_ip_ = net::IpAddress::from_octets(10, 3, 0, 2);
-  cdn_dns_ip_ = net::IpAddress::from_octets(10, 4, 0, 2);
   controller_ip_ = net::IpAddress::from_octets(3, 14, 0, 2);
   network_->assign_ip(ap_node_, ap_ip_);
-  network_->assign_ip(edge_node_, edge_ip_);
-  network_->assign_ip(ldns_node_, ldns_ip_);
-  network_->assign_ip(adns_node_, adns_ip_);
-  network_->assign_ip(cdn_dns_node_, cdn_dns_ip_);
+  backend_.start(*network_, *tcp_, obs_, params_);
   network_->assign_ip(controller_node_, controller_ip_);
 }
 
-void Testbed::build_dns() {
-  ldns_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 4);
-  adns_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 4);
-  cdn_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 4);
-
-  ldns_ = std::make_unique<dns::LocalDnsServer>(*network_, ldns_node_, *ldns_cpu_,
-                                                sim::microseconds(200));
-  adns_ = std::make_unique<dns::AuthoritativeDnsServer>(*network_, adns_node_, *adns_cpu_,
-                                                        sim::microseconds(150));
-  cdn_dns_ = std::make_unique<dns::CdnDnsServer>(*network_, cdn_dns_node_, *cdn_cpu_,
-                                                 sim::microseconds(150));
-  cdn_dns_->set_answer_ttl(params_.cdn_answer_ttl);
-  cdn_dns_->set_region_of(ldns_ip_, "testbed");
-
-  // CDN namespace delegation.
-  const auto cdn_zone = dns::DnsName::parse("edgecdn.net").value();
-  ldns_->add_delegation(cdn_zone, net::Endpoint{cdn_dns_ip_, net::kDnsPort});
-}
-
 void Testbed::build_servers() {
-  // Edge cache server: ample capacity, preloaded via host_app.
-  edge_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 8);
-  edge_ = std::make_unique<http::EdgeCacheServer>(*tcp_, edge_node_, *edge_cpu_);
-  edge_->set_observer(&obs_);
-
   // The AP: APE-CACHE runtimes for the two APE systems, stock forwarder for
   // Wi-Cache / Edge Cache.  The flash media outlives ApRuntime incarnations
   // (restart_ap), modelling the AP's persistent storage part.
@@ -154,14 +111,14 @@ void Testbed::build_servers() {
     controller_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 4);
     wicache_controller_ = std::make_unique<baselines::WiCacheController>(
         *network_, controller_node_, *controller_cpu_,
-        net::Endpoint{ap_ip_, baselines::kWiCacheAgentControlPort}, ap_ip_, edge_ip_);
+        net::Endpoint{ap_ip_, baselines::kWiCacheAgentControlPort}, ap_ip_, edge_ip());
   }
 }
 
 void Testbed::build_ap() {
   core::ApRuntime::Options ap_options;
   ap_options.config = params_.ape;
-  ap_options.upstream_dns = net::Endpoint{ldns_ip_, net::kDnsPort};
+  ap_options.upstream_dns = net::Endpoint{CdnBackend::kLdnsIp, net::kDnsPort};
   ap_options.enable_ape =
       params_.system == System::ApeCache || params_.system == System::ApeCacheLru;
   ap_options.policy = params_.system == System::ApeCacheLru ? core::ApRuntime::Policy::Lru
@@ -187,26 +144,7 @@ void Testbed::restart_ap(bool preserve_flash) {
   build_ap();
 }
 
-void Testbed::host_app(const workload::AppSpec& app) {
-  assert(app.valid());
-  for (auto& object : app.objects()) {
-    // The edge hosts every object with its backend ("retrieval") latency;
-    // warm client-facing hits skip it, cache-fill origin pulls pay it —
-    // see EdgeCacheServer.
-    edge_->host(object);
-  }
-  // Publish the domain: ADNS answers the app's host with a CNAME into the
-  // CDN namespace; the CDN DNS maps it to the edge server.
-  const auto domain = dns::DnsName::parse(app.domain).value();
-  const auto cdn_name = dns::DnsName::parse(app.domain + ".edgecdn.net").value();
-  adns_->add_zone(domain);
-  adns_->add_cname(domain, cdn_name, params_.cname_ttl);
-  cdn_dns_->add_service(cdn_name, edge_ip_);
-  cdn_dns_->add_cache_server(cdn_name, "testbed", edge_ip_);
-
-  // LDNS learns where the app's zone is served.
-  ldns_->add_delegation(domain, net::Endpoint{adns_ip_, net::kDnsPort});
-}
+void Testbed::host_app(const workload::AppSpec& app) { backend_.host_app(app); }
 
 Testbed::Client& Testbed::add_client(const std::string& name) {
   auto client = std::make_unique<Client>();
@@ -259,31 +197,9 @@ void Testbed::collect_metrics() {
   // shared helper so single-AP and fleet testbeds export uniformly.
   obs::record_sim_metrics(m, sim_);
 
-  // DNS hierarchy tallies (queries each speaker served / recursed).
-  m.counter("dns.ldns.queries").set(ldns_->queries_received());
-  m.counter("dns.ldns.upstream_queries").set(ldns_->upstream_queries());
-  m.counter("dns.ldns.cache_size").set(ldns_->cache_size());
-  m.counter("dns.adns.queries").set(adns_->queries_received());
-  m.counter("dns.cdn.queries").set(cdn_dns_->queries_received());
-
-  // Edge server / origin pull picture.
-  m.counter("edge.requests").set(edge_->requests_served());
-  m.counter("edge.hits").set(edge_->hits());
-  m.counter("edge.misses").set(edge_->misses());
-
+  backend_.collect_metrics(m);
   m.gauge("ap.cpu.busy_s").set(sim::to_seconds(ap_->cpu().busy_time()));
-
-  // Span bookkeeping + per-span-kind latency histograms, only in traced
-  // runs so default ape.obs.v1 exports stay byte-identical.  The cursor
-  // makes repeated collection idempotent (each span is folded in once).
-  if (obs_.spans_enabled()) {
-    m.counter("obs.spans.recorded").set(obs_.spans().recorded());
-    m.counter("obs.spans.dropped").set(obs_.spans().dropped());
-    m.gauge("obs.spans.open").set(static_cast<double>(obs_.spans().open_count()));
-    spans_histogrammed_ =
-        obs::record_span_histograms(obs_.spans().spans(), m, spans_histogrammed_);
-  }
-
+  spans_histogrammed_ = obs::record_span_metrics(m, obs_.spans(), spans_histogrammed_);
   ap_->snapshot_metrics();
 }
 

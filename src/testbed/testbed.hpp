@@ -7,7 +7,8 @@
 // One Testbed instance realizes one system-under-test (the AP either runs
 // APE-CACHE with PACM, APE-CACHE with LRU, the Wi-Cache agent, or nothing
 // but stock DNS forwarding), so experiments build one Testbed per compared
-// system with identical seeds and workloads.
+// system with identical seeds and workloads.  The edge server and the DNS
+// hierarchy are the CdnBackend both testbeds own, hung off the AP.
 #pragma once
 
 #include <memory>
@@ -16,16 +17,13 @@
 #include <vector>
 
 #include "baselines/ape_lru_system.hpp"
-#include "common/shard.hpp"
 #include "baselines/edge_cache_system.hpp"
 #include "baselines/wicache_system.hpp"
+#include "common/shard.hpp"
 #include "core/ap_runtime.hpp"
-#include "dns/adns.hpp"
-#include "dns/cdn_dns.hpp"
-#include "dns/ldns.hpp"
-#include "http/edge_server.hpp"
 #include "obs/observer.hpp"
 #include "sim/resource_meter.hpp"
+#include "testbed/cdn_backend.hpp"
 #include "testbed/telemetry.hpp"
 #include "workload/app_model.hpp"
 
@@ -35,28 +33,14 @@ enum class System { ApeCache, ApeCacheLru, WiCache, EdgeCache };
 
 [[nodiscard]] const char* to_string(System system) noexcept;
 
-struct TestbedParams {
+struct TestbedParams : CommonParams {
   System system = System::ApeCache;
   core::ApeConfig ape;
 
-  // Link calibration (defaults reproduce the paper's measured latencies:
-  // AP lookup ~7.5 ms, AP retrieval ~7 ms, edge retrieval ~31 ms, edge DNS
-  // ~22 ms, Wi-Cache controller lookup ~26 ms).
-  sim::Duration wifi_one_way{sim::microseconds(1750)};
-  double wifi_bandwidth = 30e6;              // ~240 Mbps effective
-  std::size_t edge_hops = 7;
-  sim::Duration edge_per_hop{sim::microseconds(1070)};
-  double wan_bandwidth = 60e6;
+  // AP -> Wi-Cache controller link (controller lookup ~26 ms); the rest of
+  // the calibration lives in CommonParams.
   std::size_t controller_hops = 12;
   sim::Duration controller_per_hop{sim::microseconds(1070)};
-  sim::Duration ldns_one_way{sim::microseconds(7000)};
-  sim::Duration adns_from_ldns{sim::microseconds(15000)};
-  sim::Duration cdn_dns_from_ldns{sim::microseconds(2000)};
-
-  // Akamai-style per-query server selection: mapping answers are not
-  // cacheable, so every edge lookup pays the resolver chain (Sec. II-B).
-  std::uint32_t cdn_answer_ttl = 0;
-  std::uint32_t cname_ttl = 3600;
 
   std::size_t wicache_capacity_bytes = 5 * 1000 * 1000;
 
@@ -64,30 +48,17 @@ struct TestbedParams {
   // (e.g. run the APE-CACHE workflow with GDSF or FIFO management).
   std::optional<core::ApRuntime::Policy> policy_override;
 
-  // Causal request tracing (DESIGN.md §5f).  Off by default: enabling it
-  // injects trace-context carriers into DNS/HTTP messages (real wire
-  // bytes), so traced runs are *not* byte-identical to default runs.
-  bool enable_spans = false;
-  std::size_t span_capacity = obs::SpanLog::kDefaultCapacity;
-
   // Windowed time-series telemetry + in-sim scrape path (DESIGN.md §5g).
   // Off by default: enabling it schedules capture ticks and puts scrape
   // datagrams on the simulated network, so timeline runs are *not*
-  // byte-identical to default runs.
+  // byte-identical to default runs.  With analytics also on, scrape
+  // replies carry the analytics report (real simulated cost).
   bool enable_timeline = false;
   sim::Duration timeline_interval{sim::seconds(30.0)};
   sim::Duration telemetry_scrape_interval{sim::seconds(60.0)};
   // SLO rules (obs::parse_slo_rule grammar) loaded into the collector's
   // evaluator; a rule that fails to parse is a programming error (assert).
   std::vector<std::string> slo_rules;
-
-  // Cache-analytics plane (DESIGN.md §5l).  Off by default: the plane is
-  // report-only (host-side bookkeeping, no simulated events of its own), so
-  // an analytics run's simulation is identical to a default run — but its
-  // exports carry extra keys, and timeline+analytics runs append the
-  // analytics report to scrape replies (real simulated cost).
-  bool enable_analytics = false;
-  obs::CacheAnalyticsConfig analytics;
 };
 
 class Testbed {
@@ -120,8 +91,8 @@ class Testbed {
   [[nodiscard]] net::Network& network() noexcept { return *network_; }
   [[nodiscard]] net::TcpTransport& tcp() noexcept { return *tcp_; }
   [[nodiscard]] core::ApRuntime& ap() noexcept { return *ap_; }
-  [[nodiscard]] http::EdgeCacheServer& edge() noexcept { return *edge_; }
-  [[nodiscard]] dns::LocalDnsServer& ldns() noexcept { return *ldns_; }
+  [[nodiscard]] http::EdgeCacheServer& edge() noexcept { return backend_.edge(); }
+  [[nodiscard]] dns::LocalDnsServer& ldns() noexcept { return backend_.ldns(); }
   [[nodiscard]] baselines::WiCacheController* wicache_controller() noexcept {
     return wicache_controller_.get();
   }
@@ -130,7 +101,7 @@ class Testbed {
   }
   [[nodiscard]] const TestbedParams& params() const noexcept { return params_; }
   [[nodiscard]] net::IpAddress ap_ip() const noexcept { return ap_ip_; }
-  [[nodiscard]] net::IpAddress edge_ip() const noexcept { return edge_ip_; }
+  [[nodiscard]] net::IpAddress edge_ip() const noexcept { return CdnBackend::kEdgeIp; }
 
   // Per-run observability bundle (metrics, spans, timeline): the AP,
   // clients and PACM push counters — and spans, when enabled — into it
@@ -187,7 +158,6 @@ class Testbed {
 
  private:
   void build_topology();
-  void build_dns();
   void build_servers();
   void build_ap();
   void build_telemetry();
@@ -204,24 +174,18 @@ class Testbed {
 
   // nodes (owning handles: built, restarted and torn down by the harness;
   // the pointees belong to their own shards)
-  APE_SHARD_LOCAL(controller) net::NodeId ap_node_{}, edge_node_{}, ldns_node_{},
-      adns_node_{}, cdn_dns_node_{}, controller_node_{};
-  APE_SHARD_LOCAL(controller) net::IpAddress ap_ip_{}, edge_ip_{}, ldns_ip_{}, adns_ip_{},
-      cdn_dns_ip_{}, controller_ip_{};
+  APE_SHARD_LOCAL(controller) net::NodeId ap_node_{}, controller_node_{};
+  APE_SHARD_LOCAL(controller) net::IpAddress ap_ip_{}, controller_ip_{};
+  APE_SHARD_LOCAL(controller) CdnBackend backend_;
 
-  // per-node CPUs (other than the AP's, which lives in ApRuntime)
-  APE_SHARD_LOCAL(controller) std::unique_ptr<sim::ServiceQueue> edge_cpu_, ldns_cpu_,
-      adns_cpu_, cdn_cpu_, controller_cpu_;
+  // the controller's CPU (the AP's lives in ApRuntime)
+  APE_SHARD_LOCAL(controller) std::unique_ptr<sim::ServiceQueue> controller_cpu_;
 
   // Declared before ap_: the runtime's store listeners capture the plane,
   // so the plane must outlive the runtime (reverse destruction order).
   APE_SHARD_LOCAL(controller) std::unique_ptr<obs::CacheAnalytics> analytics_;
   APE_SHARD_LOCAL(controller) std::unique_ptr<store::FlashMedia> flash_media_;
   APE_SHARD_LOCAL(controller) std::unique_ptr<core::ApRuntime> ap_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<http::EdgeCacheServer> edge_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<dns::LocalDnsServer> ldns_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<dns::AuthoritativeDnsServer> adns_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<dns::CdnDnsServer> cdn_dns_;
   APE_SHARD_LOCAL(controller) std::unique_ptr<baselines::WiCacheController> wicache_controller_;
   APE_SHARD_LOCAL(controller) std::unique_ptr<baselines::WiCacheApAgent> wicache_agent_;
   APE_SHARD_LOCAL(controller) std::unique_ptr<sim::ResourceMeter> meter_;

@@ -155,15 +155,6 @@ TEST_F(BaselineFixture, ApeUsesPacmPolicyOnAp) {
   EXPECT_EQ(bed->ap().data_cache().policy().name(), "PACM");
 }
 
-TEST_F(BaselineFixture, MakeApeLruOptionsFlipsPolicyOnly) {
-  core::ApRuntime::Options base;
-  base.policy = core::ApRuntime::Policy::Pacm;
-  base.enable_ape = true;
-  const auto lru = make_ape_lru_options(base);
-  EXPECT_EQ(lru.policy, core::ApRuntime::Policy::Lru);
-  EXPECT_TRUE(lru.enable_ape);
-}
-
 TEST_F(BaselineFixture, SystemNamesMatchPaper) {
   EXPECT_STREQ(testbed::to_string(System::ApeCache), "APE-CACHE");
   EXPECT_STREQ(testbed::to_string(System::ApeCacheLru), "APE-CACHE-LRU");

@@ -2,19 +2,25 @@
 // (duplicate PUBLISH after crash-recovery replay, RETRACT racing a cached
 // LOOKUP answer, shard failover with an epoch bump), client roaming between
 // APs, and the dir.stale_redirects SLO alert the staleness scenario must
-// fire (DESIGN.md §5j).
+// fire (DESIGN.md §5j), and parity of the back half (edge server + DNS
+// hierarchy) with the single-AP testbed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "core/url_hash.hpp"
-#include "fleet/fleet_testbed.hpp"
 #include "obs/export.hpp"
+#include "testbed/fleet_testbed.hpp"
+#include "testbed/testbed.hpp"
 #include "workload/app_model.hpp"
 
-namespace ape::fleet {
+namespace ape::testbed {
 namespace {
+
+using fleet::shard_of;
 
 using FetchResult = core::ClientRuntime::FetchResult;
 using Source = core::ClientRuntime::Source;
@@ -49,33 +55,26 @@ FleetTestbed::Client& add_registered_client(FleetTestbed& bed, const workload::A
   return client;
 }
 
-// Issues one APE fetch and drains the sim for a bounded window.  run(), not
-// run_until, would never return: the directory's lease timer re-schedules
-// itself forever.
-FetchResult fetch_and_run(FleetTestbed& bed, FleetTestbed::Client& client,
-                          const std::string& url,
-                          sim::Duration window = sim::milliseconds(500)) {
+// Issues one APE fetch (or a direct edge fetch) and drains the sim for a
+// bounded window.  run(), not run_until, would never return: the
+// directory's lease timer re-schedules itself forever.  Also drives the
+// single-AP Testbed (back-half parity).
+template <typename Bed>
+FetchResult fetch_and_run(Bed& bed, typename Bed::Client& client, const std::string& url,
+                          bool via_edge = false) {
   FetchResult out;
   bool done = false;
-  client.runtime->fetch(url, [&](FetchResult r) {
+  auto on_done = [&](FetchResult r) {
     out = std::move(r);
     done = true;
-  });
-  bed.simulator().run_until(bed.simulator().now() + window);
-  EXPECT_TRUE(done) << "fetch of " << url << " did not complete within the window";
-  return out;
-}
-
-FetchResult fetch_via_edge_and_run(FleetTestbed& bed, FleetTestbed::Client& client,
-                                   const std::string& url) {
-  FetchResult out;
-  bool done = false;
-  client.runtime->fetch_via_edge(url, [&](FetchResult r) {
-    out = std::move(r);
-    done = true;
-  });
+  };
+  if (via_edge) {
+    client.runtime->fetch_via_edge(url, on_done);
+  } else {
+    client.runtime->fetch(url, on_done);
+  }
   bed.simulator().run_until(bed.simulator().now() + sim::milliseconds(500));
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(done) << "fetch of " << url << " did not complete within the window";
   return out;
 }
 
@@ -153,7 +152,7 @@ TEST(FleetPeerProbe, NeighborMissIsServedFromPeerCache) {
 
   // The latency ordering the whole subsystem exists for: a peer relay costs
   // more than a local hit but far less than the 7-hop WAN edge fetch.
-  const FetchResult edge = fetch_via_edge_and_run(bed, bob, url);
+  const FetchResult edge = fetch_and_run(bed, bob, url, /*via_edge=*/true);
   ASSERT_TRUE(edge.success);
   EXPECT_EQ(edge.source, Source::EdgeServer);
   EXPECT_LT(local.retrieval_latency, peer.retrieval_latency);
@@ -393,6 +392,9 @@ TEST(FleetTracing, TracedPeerServeReconcilesWithDirectorySpans) {
     EXPECT_TRUE(trace.reconciles)
         << "trace " << trace.trace << " does not reconcile";
   }
+  // Traced runs export the same span bookkeeping as the single-AP testbed.
+  bed.collect_metrics();
+  EXPECT_EQ(bed.observer().metrics().gauges().count("obs.spans.open"), 1u);
 }
 
 TEST(FleetSlo, StaleRedirectAlertFiresInStalenessScenario) {
@@ -490,5 +492,40 @@ TEST(FleetAnalytics, DefaultFleetExportsNoAnalyticsKeys) {
   EXPECT_EQ(json.find("cache.mrc."), std::string::npos);
 }
 
+// ------------------------------------------------------------ back half
+
+// Both testbeds own one CdnBackend: a 1-AP fleet and the single-AP testbed
+// serving the same fetch export identical dns.* and edge.* counters.
+TEST(FleetBackHalf, OneApFleetExportsTheSingleApTestbedsBackHalfCounters) {
+  const auto app = two_object_app();
+  Testbed single{TestbedParams{}};
+  single.host_app(app);
+  auto& alice = single.add_client("alice");
+  for (const auto& spec : app.cacheables()) alice.runtime->register_cacheable(spec);
+  ASSERT_TRUE(fetch_and_run(single, alice, app.requests[0].url).success);
+  single.collect_metrics();
+
+  FleetParams params;
+  params.ap_count = 1;
+  params.enable_peer_probe = false;
+  FleetTestbed fleet(params);
+  fleet.host_app(app);
+  auto& bob = add_registered_client(fleet, app, "bob", 0);
+  ASSERT_TRUE(fetch_and_run(fleet, bob, app.requests[0].url).success);
+  fleet.collect_metrics();
+
+  const auto back_half = [](const obs::Observer& observer) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, entry] : observer.metrics().counters()) {
+      for (const char* prefix : {"dns.ldns.", "dns.adns.", "dns.cdn.", "edge."}) {
+        if (name.starts_with(prefix)) out.emplace(name, entry.value());
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(back_half(single.observer()).size(), 8u);
+  EXPECT_EQ(back_half(fleet.observer()), back_half(single.observer()));
+}
+
 }  // namespace
-}  // namespace ape::fleet
+}  // namespace ape::testbed

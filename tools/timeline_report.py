@@ -23,7 +23,7 @@ Usage:
   tools/timeline_report.py --validate --expect bench/baselines/smoke_timeline_expect.json \\
       timeline.json                                 # also pin run expectations
 
-The fleet testbed (src/fleet) emits the same schema: enable
+The fleet testbed (src/testbed/fleet_testbed) emits the same schema: enable
 FleetParams::enable_timeline plus an slo_rules entry such as
 
   stale-redirects: dir.stale_redirects <= 0 over 1 windows
