@@ -114,10 +114,9 @@ int run_smoke(bench::BenchReporter& reporter, const std::vector<workload::AppSpe
   const obs::CacheAnalytics& analytics = *bed.analytics();
   const cache::CacheStatistics& stats = bed.ap().lookup_stats();
 
-  // Attribution partition invariant, gated exactly (CacheStatistics'
-  // misses() folds delegations in; the plane keeps them apart).
-  const auto issues = analytics.reconcile(stats.hits(), stats.misses() - stats.delegations(),
-                                          stats.delegations());
+  // Attribution partition invariant, gated exactly against the ledger.
+  const auto issues =
+      analytics.reconcile(stats.hits(), stats.misses(), stats.delegations());
   if (!issues.empty()) {
     for (const auto& issue : issues) {
       std::fprintf(stderr, "attribution failed to reconcile: %s\n", issue.c_str());
@@ -268,8 +267,8 @@ int run_mrc_out(const std::string& path, const std::vector<workload::AppSpec>& a
   (void)testbed::run_workload(bed, apps, config);
 
   const cache::CacheStatistics& stats = bed.ap().lookup_stats();
-  const auto issues = bed.analytics()->reconcile(
-      stats.hits(), stats.misses() - stats.delegations(), stats.delegations());
+  const auto issues =
+      bed.analytics()->reconcile(stats.hits(), stats.misses(), stats.delegations());
   if (!issues.empty()) {
     for (const auto& issue : issues) {
       std::fprintf(stderr, "attribution failed to reconcile (timeline run): %s\n",

@@ -176,8 +176,8 @@ int main(int argc, char** argv) {
               "%zu delegations, %zu revalidations, block list %zu\n",
               bed.ap().data_cache().entry_count(), bed.ap().data_cache().used_bytes(),
               bed.ap().data_cache().policy().name().c_str(),
-              bed.ap().data_cache().evictions(), bed.ap().delegations_performed(),
-              bed.ap().revalidations_performed(), bed.ap().block_list().size());
+              bed.ap().data_cache().evictions(), bed.ap().lookup_stats().delegated_fetches(),
+              bed.ap().lookup_stats().revalidations(), bed.ap().block_list().size());
   std::printf("AP memory model : %.1f MB\n",
               static_cast<double>(bed.ap().memory_bytes()) / (1024.0 * 1024.0));
   return 0;

@@ -64,6 +64,6 @@ int main() {
 
   std::printf("\nAP cache: %zu objects, %zu bytes used; delegations performed: %zu\n",
               bed.ap().data_cache().entry_count(), bed.ap().data_cache().used_bytes(),
-              bed.ap().delegations_performed());
+              bed.ap().lookup_stats().delegated_fetches());
   return 0;
 }

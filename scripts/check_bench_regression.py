@@ -12,6 +12,10 @@ ratios, latency percentiles, and simulator event counts — so incidental
 counters (bytes, per-app detail) don't turn every workload tweak into a
 CI failure.  Use --all to compare every metric instead.
 
+A watched metric the fresh snapshot carries but the baseline lacks also
+fails: otherwise a baseline silently stops covering what the bench emits.
+Refresh the baseline when such a metric is meant to be new.
+
 Usage:
   build/bench/bench_smoke --json /tmp/smoke.json
   scripts/check_bench_regression.py bench/baselines/smoke.json /tmp/smoke.json
@@ -180,7 +184,8 @@ def main() -> int:
     new_metrics = sorted(n for n in cur if n not in base
                          and (args.all or watch.search(n)))
     for name in new_metrics:
-        print(f"note: new metric (not in baseline): {name}={cur[name]:g}")
+        print(f"FAIL {name}: not in baseline, current={cur[name]:g}")
+        failures.append((name, None, cur[name], float("inf")))
 
     print(f"compared {len(watched)} metric(s), "
           f"{len(failures)} regression(s), tolerance ±{args.tolerance * 100:.0f}%")

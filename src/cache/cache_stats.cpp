@@ -1,5 +1,7 @@
 #include "cache/cache_stats.hpp"
 
+#include <initializer_list>
+
 namespace ape::cache {
 
 void CacheStatistics::record_hit(int priority) {
@@ -31,10 +33,15 @@ double CacheStatistics::high_priority_hit_ratio() const noexcept {
                                   static_cast<double>(high_lookups_);
 }
 
-void CacheStatistics::reset() {
-  hits_ = misses_ = delegations_ = high_hits_ = high_lookups_ = 0;
-  sweeps_ = sweep_reclaimed_bytes_ = 0;
-  removals_.fill(0);
+CacheStatistics& CacheStatistics::operator+=(const CacheStatistics& other) noexcept {
+  using S = CacheStatistics;
+  for (std::size_t S::*tally :
+       {&S::hits_, &S::misses_, &S::delegations_, &S::high_hits_, &S::high_lookups_,
+        &S::delegated_fetches_, &S::revalidations_, &S::delegation_inserts_, &S::sweeps_,
+        &S::sweep_reclaimed_bytes_}) {
+    this->*tally += other.*tally;
+  }
+  return *this;
 }
 
 }  // namespace ape::cache

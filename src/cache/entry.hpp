@@ -26,9 +26,8 @@ struct CacheEntry {
   }
 };
 
-// Why an entry left the store.  Lives next to CacheEntry (not the store)
-// because pure accounting types consume it too: CacheStatistics keys its
-// per-cause removal counters on it without pulling in the store header.
+// Why an entry left the store.  CacheStore counts removals per cause at
+// its single removal chokepoint (CacheStore::removals).
 // The flash tier demotes on Evicted only: expired/replaced/erased copies
 // are dead data nobody should pay flash writes for (store/tiered_store.hpp).
 enum class RemovalCause {

@@ -34,7 +34,6 @@ CacheStore::InsertOutcome CacheStore::insert(CacheEntry entry, sim::Time now) {
       if (it == entries_.end()) continue;
       freed += it->second.size_bytes;
       erase_internal(key, RemovalCause::Evicted);
-      ++evictions_;
     }
     if (freed < needed) {
       // Policy under-delivered; reject rather than blow the byte budget.
@@ -83,6 +82,7 @@ bool CacheStore::erase(const std::string& key) {
 }
 
 void CacheStore::notify_removal(const CacheEntry& entry, RemovalCause cause) {
+  ++removals_[static_cast<std::size_t>(cause)];
   for (const auto& listener : removal_listeners_) listener(entry, cause);
 }
 

@@ -6,6 +6,7 @@
 // keeping every other moving part identical (paper Sec. V-C).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -64,7 +65,6 @@ class CacheStore {
 
   [[nodiscard]] std::size_t capacity_bytes() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t used_bytes() const noexcept { return used_; }
-  [[nodiscard]] std::size_t free_bytes() const noexcept { return capacity_ - used_; }
   [[nodiscard]] std::size_t entry_count() const noexcept { return entries_.size(); }
 
   void for_each(const std::function<void(const CacheEntry&)>& fn) const;
@@ -73,8 +73,18 @@ class CacheStore {
   [[nodiscard]] const EvictionPolicy& policy() const noexcept { return *policy_; }
   [[nodiscard]] EvictionPolicy& policy() noexcept { return *policy_; }
 
-  [[nodiscard]] std::size_t evictions() const noexcept { return evictions_; }
+  // Entries that left the store for `cause`, counted once per removal.
+  [[nodiscard]] std::size_t removals(RemovalCause cause) const noexcept {
+    return removals_[static_cast<std::size_t>(cause)];
+  }
+  [[nodiscard]] std::size_t evictions() const noexcept {
+    return removals(RemovalCause::Evicted);
+  }
   [[nodiscard]] std::size_t rejections() const noexcept { return rejections_; }
+  void reset_counts() noexcept {
+    removals_.fill(0);
+    rejections_ = 0;
+  }
 
   // Fires for every entry that leaves the store, with the reason.  Wi-Cache
   // uses this to keep its central controller's registry in sync with the
@@ -93,11 +103,6 @@ class CacheStore {
   // Fires after every successful insert (including same-key replacement,
   // after the Replaced removal).  The fleet directory client PUBLISHes new
   // holdings from here; the analytics plane corrects MRC byte footprints.
-  // Same set_/add_ contract as the removal listeners above.
-  void set_insert_listener(std::function<void(const CacheEntry&)> listener) {
-    insert_listeners_.clear();
-    insert_listeners_.push_back(std::move(listener));
-  }
   void add_insert_listener(std::function<void(const CacheEntry&)> listener) {
     insert_listeners_.push_back(std::move(listener));
   }
@@ -122,7 +127,7 @@ class CacheStore {
   // Ordered by key: for_each/entries() feed eviction solvers and metric
   // exports, so iteration order must be canonical (ape-lint: unordered-iter).
   std::map<std::string, CacheEntry> entries_;
-  std::size_t evictions_ = 0;
+  std::array<std::size_t, kRemovalCauseCount> removals_{};
   std::size_t rejections_ = 0;
   bool retain_expired_ = false;
 };

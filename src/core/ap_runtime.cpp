@@ -69,9 +69,6 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
       observer_(options_.observer),
       analytics_(options_.analytics) {
   if (observer_ != nullptr) {
-    hit_counter_ = &observer_->metrics().counter("ap.cache.hit");
-    miss_counter_ = &observer_->metrics().counter("ap.cache.miss");
-    delegation_flag_counter_ = &observer_->metrics().counter("ap.cache.delegation");
     // Per-request instruments: bind lazily resolving handles once, so the
     // DNS/HTTP hot paths never repeat a by-name map lookup.  Lazy (not
     // resolve()d here) on purpose — an instrument only materialises in the
@@ -90,10 +87,7 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
     hot_.http_bytes_from_cache = {m, "ap.http.bytes_from_cache"};
     hot_.http_flash_serves = {m, "ap.http.flash_serves"};
     hot_.http_race_fallback = {m, "ap.http.race_fallback"};
-    hot_.delegations = {m, "ap.delegations"};
-    hot_.revalidations = {m, "ap.revalidations"};
     hot_.block_listed = {m, "ap.block_listed"};
-    hot_.cache_inserts = {m, "ap.cache.inserts"};
     hot_.delegation_bytes_fetched = {m, "ap.delegation.bytes_fetched"};
     // Fleet peer-probe instruments: lazy like the rest, so single-AP runs
     // (which never fire them) keep byte-identical exports.
@@ -107,20 +101,15 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
   }
   data_cache_->set_retain_expired(options_.config.enable_revalidation);
 
-  // Per-cause removal accounting is always on: pure host-side counters, no
-  // simulated work, no export unless the analytics plane is attached.
-  // Registered before the tiered store below, whose demotion hook rides the
-  // same listener list (both use add_, neither clobbers the other).
-  data_cache_->add_removal_listener(
-      [this](const cache::CacheEntry& entry, cache::RemovalCause cause) {
-        stats_.record_removal(cause);
-        if (analytics_ != nullptr) {
+  if (analytics_ != nullptr) {
+    // Registered before the tiered store below, whose demotion hook rides
+    // the same listener list (both use add_, neither clobbers the other).
+    data_cache_->add_removal_listener(
+        [this](const cache::CacheEntry& entry, cache::RemovalCause cause) {
           analytics_->on_removal(entry.key, entry.size_bytes, std::to_string(entry.app_id),
                                  analytics_cause(cause), entry.access_count, entry.inserted,
                                  entry.last_access, network_.simulator().now());
-        }
-      });
-  if (analytics_ != nullptr) {
+        });
     // The miss that scheduled a fetch entered the MRC with a 0-byte hint;
     // the insert corrects the footprint once the object's size is known.
     data_cache_->add_insert_listener([this](const cache::CacheEntry& entry) {
@@ -205,8 +194,7 @@ void ApRuntime::snapshot_metrics() {
   m.gauge("ap.cache.high_priority_hit_ratio").set(stats_.high_priority_hit_ratio());
   m.counter("ap.block_list.size").set(block_list_.size());
   m.gauge("ap.mem.bytes").set(static_cast<double>(memory_bytes()));
-  m.counter("ap.delegations").set(delegations_);
-  m.counter("ap.revalidations").set(revalidations_);
+  record_ledger_metrics(m, stats_);
 
   // Tier metrics are created only in their opt-in configurations so that
   // RAM-only runs export byte-identical ape.obs.v1 snapshots.
@@ -270,15 +258,25 @@ void ApRuntime::snapshot_metrics() {
 void ApRuntime::record_analytics_metrics(obs::MetricsRegistry& registry,
                                          const std::string& prefix) const {
   if (analytics_ == nullptr) return;
-  const auto set = [&](const char* cause, cache::RemovalCause removal) {
-    registry.counter(prefix + "cache.evict." + cause).set(stats_.removals(removal));
-  };
-  set("capacity", cache::RemovalCause::Evicted);
-  set("expired", cache::RemovalCause::Expired);
-  set("replaced", cache::RemovalCause::Replaced);
-  set("invalidated", cache::RemovalCause::Erased);
-  set("cleared", cache::RemovalCause::Cleared);
+  for (std::size_t i = 0; i < cache::kRemovalCauseCount; ++i) {
+    const auto cause = static_cast<cache::RemovalCause>(i);
+    registry.counter(prefix + "cache.evict." + obs::to_string(analytics_cause(cause)))
+        .set(data_cache_->removals(cause));
+  }
   analytics_->record_metrics(registry, prefix);
+}
+
+void record_ledger_metrics(obs::MetricsRegistry& registry,
+                           const cache::CacheStatistics& ledger) {
+  registry.counter("ap.cache.hit").set(ledger.hits());
+  registry.counter("ap.cache.miss").set(ledger.misses());
+  registry.counter("ap.cache.delegation").set(ledger.delegations());
+  registry.counter("ap.delegations").set(ledger.delegated_fetches());
+  registry.counter("ap.revalidations").set(ledger.revalidations());
+  // Appears with the first insert, so forwarder-only APs export no such key.
+  if (ledger.delegation_inserts() > 0 || registry.counters().contains("ap.cache.inserts")) {
+    registry.counter("ap.cache.inserts").set(ledger.delegation_inserts());
+  }
 }
 
 void ApRuntime::set_peer_probe(PeerResolver* resolver, std::uint32_t ap_id) {
@@ -288,6 +286,7 @@ void ApRuntime::set_peer_probe(PeerResolver* resolver, std::uint32_t ap_id) {
 
 void ApRuntime::reset_cache() {
   data_cache_->clear();
+  data_cache_->reset_counts();
   if (flash_tier_ != nullptr) flash_tier_->reset();  // wipes the journal too
   block_list_.clear();
   stats_.reset();
@@ -552,22 +551,13 @@ ApRuntime::FlagSet ApRuntime::collect_flags(const dns::DnsName& domain,
       const auto info = url_index_.find(h);
       const int priority = info == url_index_.end() ? 1 : info->second.priority;
       switch (flag) {
-        case CacheFlag::CacheHit:
-          stats_.record_hit(priority);
-          if (hit_counter_ != nullptr) hit_counter_->add();
-          break;
-        case CacheFlag::CacheMiss:
-          stats_.record_miss(priority);
-          if (miss_counter_ != nullptr) miss_counter_->add();
-          break;
-        case CacheFlag::Delegation:
-          stats_.record_delegation(priority);
-          if (delegation_flag_counter_ != nullptr) delegation_flag_counter_->add();
-          break;
+        case CacheFlag::CacheHit: stats_.record_hit(priority); break;
+        case CacheFlag::CacheMiss: stats_.record_miss(priority); break;
+        case CacheFlag::Delegation: stats_.record_delegation(priority); break;
       }
-      // Analytics tap: exactly the lookups counted in stats_ above feed the
-      // plane, so the per-app partition reconciles against CacheStatistics
-      // totals identically (the invariant reconcile() re-checks).
+      // Analytics tap: the plane sees exactly the lookups the ledger counts
+      // above and splits them per app, so its partition sums to the ledger
+      // (the identity CacheAnalytics::reconcile() checks).
       if (analytics_ != nullptr) {
         obs::LookupOutcome outcome = obs::LookupOutcome::Hit;
         if (flag == CacheFlag::CacheMiss) {
@@ -819,9 +809,8 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
   info.app = app;
   info.priority = priority;
 
-  ++delegations_;
+  stats_.record_delegated_fetch();
   const sim::Time fetch_start = network_.simulator().now();
-  hot_.delegations.add();
 
   obs::TraceContext delegate_span;
   if (obs::SpanLog* log = spans(); log != nullptr) {
@@ -875,8 +864,7 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
           if (result && result.value().status == 304 && stale) {
             // Not modified: refresh the stale entry's lifetime and serve it
             // locally — no body crossed the WAN.
-            ++revalidations_;
-            hot_.revalidations.add();
+            stats_.record_revalidation();
             cache::CacheEntry entry = std::move(*stale);
             const std::uint32_t ttl =
                 http::find_decimal_header<std::uint32_t>(result.value().headers,
@@ -939,7 +927,7 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
               obs::ScopedTraceContext insert_ambient(spans(), delegate_span);
               insert_object(std::move(entry), now);
             }
-            hot_.cache_inserts.add();
+            stats_.record_delegation_insert();
             hot_.delegation_bytes_fetched.add(size);
           }
 

@@ -51,8 +51,8 @@ class ApRuntime {
     bool enable_ape = true;       // false = stock dnsmasq forwarder only
     Policy policy = Policy::Pacm;
     std::size_t cpu_cores = 2;    // MT7621A is dual-core
-    // Nullable observability sink ("ap.*" metrics, cache/DNS trace events);
-    // also forwarded into the PACM policy when `policy == Policy::Pacm`.
+    // Nullable observability sink ("ap.*" metrics and spans); also
+    // forwarded into the PACM policy when `policy == Policy::Pacm`.
     obs::Observer* observer = nullptr;
     // Durable flash media for the tier (used when config.flash_capacity_bytes
     // > 0).  Pass the same FlashMedia to successive ApRuntime incarnations to
@@ -77,14 +77,13 @@ class ApRuntime {
   [[nodiscard]] sim::ServiceQueue& cpu() noexcept { return cpu_; }
   [[nodiscard]] std::size_t cpu_cores() const noexcept { return options_.cpu_cores; }
   [[nodiscard]] std::size_t memory_bytes() const;
-  [[nodiscard]] cache::CacheStatistics& lookup_stats() noexcept { return stats_; }
+  // This incarnation's cache ledger (see cache/cache_stats.hpp).
+  [[nodiscard]] const cache::CacheStatistics& lookup_stats() const noexcept { return stats_; }
   [[nodiscard]] const cache::CacheStore& data_cache() const noexcept { return *data_cache_; }
   [[nodiscard]] cache::CacheStore& data_cache() noexcept { return *data_cache_; }
   [[nodiscard]] FrequencyTracker& frequencies() noexcept { return freq_; }
   [[nodiscard]] const cache::BlockList& block_list() const noexcept { return block_list_; }
   [[nodiscard]] const ApeConfig& config() const noexcept { return options_.config; }
-  [[nodiscard]] std::size_t delegations_performed() const noexcept { return delegations_; }
-  [[nodiscard]] std::size_t revalidations_performed() const noexcept { return revalidations_; }
 
   // Attached analytics plane; null (the default) when disabled.
   [[nodiscard]] obs::CacheAnalytics* analytics() noexcept { return analytics_; }
@@ -101,10 +100,10 @@ class ApRuntime {
   // forwarding.  Charged asynchronously (DMA overlap) so it loads the CPU
   // without delaying the in-flight response.
   void account_served_bytes(std::size_t bytes);
-  void set_active_flows(std::size_t flows) noexcept { flows_ = flows; }
   [[nodiscard]] std::size_t active_flows() const noexcept { return flows_; }
 
-  // Fully resets cache state between experiment runs.
+  // Fully resets cache state between experiment runs, the ledger and the
+  // store's removal counts included.
   void reset_cache();
 
   // --- fleet cooperation (DESIGN.md §5j) ----------------------------------
@@ -116,10 +115,10 @@ class ApRuntime {
   void set_peer_probe(PeerResolver* resolver, std::uint32_t ap_id);
   [[nodiscard]] std::uint32_t ap_id() const noexcept { return ap_id_; }
 
-  // Pull-phase observability: writes the gauges that only make sense as a
-  // point-in-time reading (cache occupancy, hit ratios, per-app storage
-  // efficiency C_a = cached bytes / R(a)) into the attached observer.
-  // No-op without one.
+  // Pull-phase observability: mirrors the ledger and store counts, and
+  // writes the point-in-time gauges (cache occupancy, hit ratios, per-app
+  // storage efficiency C_a = cached bytes / R(a)) into the attached
+  // observer.  No-op without one.
   void snapshot_metrics();
 
   // With an analytics plane attached: per-cause removal counters
@@ -260,8 +259,6 @@ class ApRuntime {
       domain_hashes_;
 
   APE_SHARD_LOCAL(ap) std::size_t flows_ = 0;
-  APE_SHARD_LOCAL(ap) std::size_t delegations_ = 0;
-  APE_SHARD_LOCAL(ap) std::size_t revalidations_ = 0;
 
   // Fleet directory resolver (same-shard collaborator owned by the fleet
   // testbed; cross-AP access goes through its wire protocol, never through
@@ -278,9 +275,6 @@ class ApRuntime {
   // Analytics plane — scrape-side shared state like the observer: the AP
   // feeds it from the request path, the telemetry agent reads it at scrape.
   APE_SHARD_SHARED obs::CacheAnalytics* analytics_ = nullptr;
-  APE_SHARD_SHARED obs::Counter* hit_counter_ = nullptr;
-  APE_SHARD_SHARED obs::Counter* miss_counter_ = nullptr;
-  APE_SHARD_SHARED obs::Counter* delegation_flag_counter_ = nullptr;
   struct HotMetrics {
     obs::CounterHandle dns_cache_queries;
     obs::CounterHandle dns_cache_rr_emitted;
@@ -294,10 +288,7 @@ class ApRuntime {
     obs::CounterHandle http_bytes_from_cache;
     obs::CounterHandle http_flash_serves;
     obs::CounterHandle http_race_fallback;
-    obs::CounterHandle delegations;
-    obs::CounterHandle revalidations;
     obs::CounterHandle block_listed;
-    obs::CounterHandle cache_inserts;
     obs::CounterHandle delegation_bytes_fetched;
     obs::CounterHandle peer_probes;
     obs::CounterHandle peer_hits;
@@ -308,5 +299,10 @@ class ApRuntime {
     obs::HistogramHandle latency_estimate_error_ms;
   } hot_;
 };
+
+// The one writer of ap.cache.{hit,miss,delegation,inserts}, ap.delegations
+// and ap.revalidations: mirrors `ledger` set-style (one AP's, or a fleet's
+// sum of its APs').
+void record_ledger_metrics(obs::MetricsRegistry& registry, const cache::CacheStatistics& ledger);
 
 }  // namespace ape::core

@@ -29,18 +29,9 @@ void CacheAnalytics::on_lookup(const std::string& key, std::uint64_t size_bytes,
   for (MrcProfiler& p : profilers_) p.record_access(key, size_bytes);
   AppTally& tally = app_tallies_[app];
   switch (outcome) {
-    case LookupOutcome::Hit:
-      ++tally.hits;
-      ++hits_;
-      break;
-    case LookupOutcome::Miss:
-      ++tally.misses;
-      ++misses_;
-      break;
-    case LookupOutcome::Delegation:
-      ++tally.delegations;
-      ++delegations_;
-      break;
+    case LookupOutcome::Hit: ++tally.hits; break;
+    case LookupOutcome::Miss: ++tally.misses; break;
+    case LookupOutcome::Delegation: ++tally.delegations; break;
   }
 }
 
@@ -56,15 +47,28 @@ void CacheAnalytics::on_removal(const std::string& key, std::uint64_t size_bytes
                                 sim::Time last_access, sim::Time now) {
   (void)key;
   (void)size_bytes;
-  ++cause_counts_[static_cast<std::size_t>(cause)];
   ++app_tallies_[app].removals[static_cast<std::size_t>(cause)];
   lifetime_ms_.record(sim::to_millis(now - inserted));
   reuse_gap_ms_.record(sim::to_millis(now - last_access));
   if (cause == AnalyticsRemovalCause::Capacity && access_count == 0) ++dead_on_arrival_;
 }
 
+std::uint64_t CacheAnalytics::sum(std::uint64_t AppTally::*field) const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& [app, tally] : app_tallies_) total += tally.*field;
+  return total;
+}
+
+std::uint64_t CacheAnalytics::removals(AnalyticsRemovalCause cause) const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& [app, tally] : app_tallies_) {
+    total += tally.removals[static_cast<std::size_t>(cause)];
+  }
+  return total;
+}
+
 double CacheAnalytics::dead_on_arrival_ratio() const noexcept {
-  const std::uint64_t evicted = cause_counts_[static_cast<std::size_t>(AnalyticsRemovalCause::Capacity)];
+  const std::uint64_t evicted = removals(AnalyticsRemovalCause::Capacity);
   return evicted == 0 ? 0.0
                       : static_cast<double>(dead_on_arrival_) / static_cast<double>(evicted);
 }
@@ -72,28 +76,15 @@ double CacheAnalytics::dead_on_arrival_ratio() const noexcept {
 std::vector<std::string> CacheAnalytics::reconcile(std::uint64_t hits, std::uint64_t misses,
                                                    std::uint64_t delegations) const {
   std::vector<std::string> errors;
-  std::uint64_t app_hits = 0;
-  std::uint64_t app_misses = 0;
-  std::uint64_t app_delegations = 0;
-  for (const auto& [app, tally] : app_tallies_) {
-    app_hits += tally.hits;
-    app_misses += tally.misses;
-    app_delegations += tally.delegations;
-  }
-  const auto check = [&errors](const char* what, std::uint64_t per_app, std::uint64_t plane,
-                               std::uint64_t stats) {
-    if (per_app != plane) {
+  const auto check = [&errors](const char* what, std::uint64_t per_app, std::uint64_t ledger) {
+    if (per_app != ledger) {
       errors.push_back(std::string("per-app ") + what + " sum " + std::to_string(per_app) +
-                       " != plane total " + std::to_string(plane));
-    }
-    if (plane != stats) {
-      errors.push_back(std::string("plane ") + what + " total " + std::to_string(plane) +
-                       " != CacheStatistics " + std::to_string(stats));
+                       " != CacheStatistics " + std::to_string(ledger));
     }
   };
-  check("hit", app_hits, hits_, hits);
-  check("miss", app_misses, misses_, misses);
-  check("delegation", app_delegations, delegations_, delegations);
+  check("hit", this->hits(), hits);
+  check("miss", this->misses(), misses);
+  check("delegation", this->delegations(), delegations);
   return errors;
 }
 
@@ -128,7 +119,7 @@ std::string CacheAnalytics::encode_report() const {
   for (std::size_t i = 0; i < kAnalyticsCauseCount; ++i) {
     out += ' ';
     out += kCauseNames[i];
-    out += '=' + std::to_string(cause_counts_[i]);
+    out += '=' + std::to_string(removals(static_cast<AnalyticsRemovalCause>(i)));
   }
   out += " doa=" + std::to_string(dead_on_arrival_) + "\n";
   for (const auto& [app, tally] : app_tallies_) {

@@ -13,11 +13,12 @@
 //     ledger (per-cause × per-app counters, object-lifetime and reuse-gap
 //     histograms, dead-on-arrival accounting).
 //
-// Attribution carries an exact partition invariant, same contract style as
-// the Timeline's delta-sum identity: sum over apps of hits/misses/
-// delegations equals the plane's totals equals CacheStatistics' totals —
-// reconcile() re-checks it and tools/mrc_report.py --validate re-checks it
-// again offline.
+// Ownership: the AP's cache::CacheStatistics is the one ledger of lookup
+// outcomes and the CacheStore counts removals by cause.  The plane adds
+// only what they lack, the per-app split: its totals (hits(), misses(),
+// delegations(), removals()) are sums over the per-app tallies, never a
+// second count.  reconcile() is the two-way check between plane and ledger
+// (per-app partition against the ledger).
 //
 // Cause values arrive as an obs-local enum and keys/apps as plain strings
 // because obs sits *below* cache in the layer map (same pattern as
@@ -78,8 +79,10 @@ class CacheAnalytics {
                   AnalyticsRemovalCause cause, std::uint64_t access_count, sim::Time inserted,
                   sim::Time last_access, sim::Time now);
 
-  // Exact partition invariant against CacheStatistics totals.  Returns one
-  // human-readable line per violated identity (empty = reconciled).
+  // Two-way check: the per-app partition sums to the ledger's lookup
+  // outcomes (CacheStatistics hits/misses/delegations, misses being
+  // Cache-Miss flags only).  Returns one human-readable line per violated
+  // identity (empty = reconciled).
   [[nodiscard]] std::vector<std::string> reconcile(std::uint64_t hits, std::uint64_t misses,
                                                    std::uint64_t delegations) const;
 
@@ -94,30 +97,28 @@ class CacheAnalytics {
 
   [[nodiscard]] const std::vector<MrcProfiler>& profilers() const noexcept { return profilers_; }
   [[nodiscard]] const std::map<std::string, AppTally>& apps() const noexcept { return app_tallies_; }
-  [[nodiscard]] std::uint64_t removals(AnalyticsRemovalCause cause) const noexcept {
-    return cause_counts_[static_cast<std::size_t>(cause)];
+  // Totals, summed over the per-app tallies.
+  [[nodiscard]] std::uint64_t removals(AnalyticsRemovalCause cause) const noexcept;
+  [[nodiscard]] std::uint64_t hits() const noexcept { return sum(&AppTally::hits); }
+  [[nodiscard]] std::uint64_t misses() const noexcept { return sum(&AppTally::misses); }
+  [[nodiscard]] std::uint64_t delegations() const noexcept {
+    return sum(&AppTally::delegations);
   }
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-  [[nodiscard]] std::uint64_t delegations() const noexcept { return delegations_; }
   // Capacity evictions of objects that were never re-hit after insert.
   [[nodiscard]] std::uint64_t dead_on_arrival() const noexcept { return dead_on_arrival_; }
   [[nodiscard]] double dead_on_arrival_ratio() const noexcept;
   [[nodiscard]] const stats::Histogram& lifetime_ms() const noexcept { return lifetime_ms_; }
-  [[nodiscard]] const stats::Histogram& reuse_gap_ms() const noexcept { return reuse_gap_ms_; }
 
  private:
+  [[nodiscard]] std::uint64_t sum(std::uint64_t AppTally::*field) const noexcept;
+
   CacheAnalyticsConfig config_;
   std::vector<MrcProfiler> profilers_;
 
   // Attribution (ordered by app id: canonical iteration).
   std::map<std::string, AppTally> app_tallies_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t delegations_ = 0;
 
-  // Eviction-cause ledger.
-  std::array<std::uint64_t, kAnalyticsCauseCount> cause_counts_{};
+  // Eviction-cause ledger (per-cause counts live in the app tallies).
   std::uint64_t dead_on_arrival_ = 0;
   stats::Histogram lifetime_ms_{"ms"};
   stats::Histogram reuse_gap_ms_{"ms"};

@@ -66,6 +66,7 @@
 //                                  "delegations": <n>}}, ...],
 //                     "rollup": { "profilers": {...same, minus rates...},
 //                                 "evict": {...}, "totals": {...} } }  // opt-in
+//                   (an AP's "evict" causes and "totals" sum its per-app tallies)
 //   }
 //
 // Span runs (DESIGN.md §5f) export spans through obs/trace_export's Perfetto

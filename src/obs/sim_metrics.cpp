@@ -25,21 +25,18 @@ void record_sim_metrics(MetricsRegistry& registry, const sim::Simulator& sim) {
   registry.gauge("sim.now_s").set(sim.now().seconds());
 }
 
-std::size_t record_span_metrics(MetricsRegistry& registry, const SpanLog& spans,
-                                std::size_t cursor) {
-  if (!spans.enabled()) return cursor;
+void record_span_metrics(MetricsRegistry& registry, SpanLog& spans) {
+  if (!spans.enabled()) return;
   registry.counter("obs.spans.recorded").set(spans.recorded());
   registry.counter("obs.spans.dropped").set(spans.dropped());
   registry.gauge("obs.spans.open").set(static_cast<double>(spans.open_count()));
-  // Per-span-kind latency histograms.  A span still open here is skipped
-  // and, with the cursor past it, never folded in later.
-  for (std::size_t i = cursor; i < spans.recorded(); ++i) {
+  // Per-span-kind latency histograms.  A span still open here is folded by
+  // the first call after it closes.
+  for (const std::size_t i : spans.take_closed()) {
     const Span& span = spans.spans()[i];
-    if (!span.closed) continue;
     registry.histogram("span." + span.name + "_ms", "ms")
         .record(sim::to_millis(span.duration()));
   }
-  return spans.recorded();
 }
 
 }  // namespace ape::obs

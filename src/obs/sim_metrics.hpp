@@ -7,8 +7,6 @@
 // idempotent, so timeline ticks can call these every window.
 #pragma once
 
-#include <cstddef>
-
 #include "obs/metrics.hpp"
 #include "obs/span_log.hpp"
 #include "sim/simulator.hpp"
@@ -17,10 +15,9 @@ namespace ape::obs {
 
 void record_sim_metrics(MetricsRegistry& registry, const sim::Simulator& sim);
 
-// Traced runs only (a no-op returning `cursor` otherwise): writes
-// obs.spans.{recorded,dropped,open} and folds the spans from `cursor` on
-// into span.<name>_ms histograms; returns the cursor for the next call.
-std::size_t record_span_metrics(MetricsRegistry& registry, const SpanLog& spans,
-                                std::size_t cursor);
+// Traced runs only (a no-op otherwise): writes obs.spans.{recorded,dropped,
+// open} and folds the spans closed since the previous call into
+// span.<name>_ms histograms (SpanLog::take_closed), each span exactly once.
+void record_span_metrics(MetricsRegistry& registry, SpanLog& spans);
 
 }  // namespace ape::obs

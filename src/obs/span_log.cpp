@@ -57,11 +57,18 @@ void SpanLog::close(const TraceContext& ctx, sim::Time end) {
   span.end = end;
   span.closed = true;
   --open_count_;
+  closed_.push_back(static_cast<std::size_t>(ctx.span) - 1);
+}
+
+std::vector<std::size_t> SpanLog::take_closed() {
+  std::sort(closed_.begin(), closed_.end());
+  return std::exchange(closed_, {});
 }
 
 void SpanLog::clear() {
   spans_.clear();
   ambient_.clear();
+  closed_.clear();
   next_trace_ = 1;
   dropped_ = 0;
   open_count_ = 0;

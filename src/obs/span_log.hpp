@@ -68,12 +68,17 @@ class SpanLog {
   [[nodiscard]] std::size_t open_count() const noexcept { return open_count_; }
   [[nodiscard]] const std::vector<Span>& spans() const noexcept { return spans_; }
 
+  // Indices into spans() of the spans closed since the previous call, in
+  // open order: each span is handed out once, however long another stays open.
+  [[nodiscard]] std::vector<std::size_t> take_closed();
+
   void clear();
 
  private:
   std::size_t capacity_;
   std::vector<Span> spans_;             // append-only; spans_[id - 1].id == id
   std::vector<TraceContext> ambient_;   // synchronous propagation stack
+  std::vector<std::size_t> closed_;     // closed since the last take_closed()
   TraceId next_trace_ = 1;
   std::size_t dropped_ = 0;             // opens refused at capacity
   std::size_t open_count_ = 0;          // opened but not yet closed

@@ -191,9 +191,12 @@ void FleetTestbed::collect_metrics() {
   // Per-AP gauges under qualified names (ApRuntime::snapshot_metrics writes
   // unqualified ap.* gauges and is deliberately NOT called here — with N
   // runtimes sharing one registry the snapshots would clobber each other).
+  // The unqualified ledger names carry the fleet-wide sum instead.
   std::size_t fleet_cache_bytes = 0;
   std::size_t fleet_cache_items = 0;
+  cache::CacheStatistics fleet_ledger;
   for (std::size_t i = 0; i < aps_.size(); ++i) {
+    fleet_ledger += aps_[i].runtime->lookup_stats();
     const std::string prefix = "fleet.ap" + std::to_string(i);
     const cache::CacheStore& store = aps_[i].runtime->data_cache();
     m.gauge(prefix + ".cache.bytes").set(static_cast<double>(store.used_bytes()));
@@ -205,6 +208,7 @@ void FleetTestbed::collect_metrics() {
   }
   m.gauge("fleet.cache.bytes").set(static_cast<double>(fleet_cache_bytes));
   m.gauge("fleet.cache.items").set(static_cast<double>(fleet_cache_items));
+  core::record_ledger_metrics(m, fleet_ledger);
 
   for (std::size_t j = 0; j < shards_.size(); ++j) {
     const std::string prefix = "dir.shard" + std::to_string(j);
@@ -214,7 +218,7 @@ void FleetTestbed::collect_metrics() {
     m.gauge(prefix + ".epoch").set(static_cast<double>(shards_[j].epoch));
   }
 
-  spans_histogrammed_ = obs::record_span_metrics(m, obs_.spans(), spans_histogrammed_);
+  obs::record_span_metrics(m, obs_.spans());
 }
 
 void FleetTestbed::start_timeline(sim::Time until) {

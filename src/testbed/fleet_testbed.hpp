@@ -120,10 +120,11 @@ class FleetTestbed {
   }
   [[nodiscard]] obs::SloEvaluator& slo() noexcept { return slo_; }
 
-  // Fleet-wide pull-phase metrics: sim/DNS/edge tallies plus per-AP
-  // fleet.ap<i>.* gauges and per-shard dir.shard<i>.* gauges.  Does NOT
-  // call ApRuntime::snapshot_metrics — its ap.* gauge names are unqualified
-  // and N runtimes would clobber each other.
+  // Fleet-wide pull-phase metrics: sim/DNS/edge tallies, the sum of the
+  // APs' cache ledgers (core::record_ledger_metrics), per-AP fleet.ap<i>.*
+  // gauges and per-shard dir.shard<i>.* gauges.  Does NOT call
+  // ApRuntime::snapshot_metrics — its ap.* gauge names are unqualified and
+  // N runtimes would clobber each other.
   void collect_metrics();
 
   // Timeline support (enable_timeline runs only): periodic
@@ -175,8 +176,6 @@ class FleetTestbed {
 
   APE_SHARD_LOCAL(controller) obs::SloEvaluator slo_;
   APE_SHARD_LOCAL(controller) std::size_t slo_windows_seen_ = 0;
-  // collect_metrics() span-folding idempotency cursor
-  APE_SHARD_LOCAL(controller) std::size_t spans_histogrammed_ = 0;
   APE_SHARD_LOCAL(controller) sim::Time timeline_until_{};
   APE_SHARD_LOCAL(controller) sim::Simulator::EventId timeline_tick_ = 0;
 };

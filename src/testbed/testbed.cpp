@@ -199,7 +199,7 @@ void Testbed::collect_metrics() {
 
   backend_.collect_metrics(m);
   m.gauge("ap.cpu.busy_s").set(sim::to_seconds(ap_->cpu().busy_time()));
-  spans_histogrammed_ = obs::record_span_metrics(m, obs_.spans(), spans_histogrammed_);
+  obs::record_span_metrics(m, obs_.spans());
   ap_->snapshot_metrics();
 }
 

@@ -197,8 +197,6 @@ class Testbed {
   APE_SHARD_LOCAL(controller) std::vector<std::unique_ptr<Client>> clients_;
   APE_SHARD_LOCAL(controller) net::Port next_client_port_ = 49152;
   APE_SHARD_LOCAL(controller) std::uint32_t next_client_ip_suffix_ = 100;
-  // collect_metrics() idempotency cursor
-  APE_SHARD_LOCAL(controller) std::size_t spans_histogrammed_ = 0;
 };
 
 }  // namespace ape::testbed

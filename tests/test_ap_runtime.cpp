@@ -87,7 +87,7 @@ TEST_F(ApFixture, DelegationFetchesCachesAndServes) {
   ASSERT_TRUE(first.success);
   EXPECT_EQ(first.source, ClientRuntime::Source::ApDelegated);
   EXPECT_EQ(first.bytes, 10'000u);
-  EXPECT_EQ(bed->ap().delegations_performed(), 1u);
+  EXPECT_EQ(bed->ap().lookup_stats().delegated_fetches(), 1u);
   EXPECT_EQ(bed->ap().data_cache().entry_count(), 1u);
 
   const auto second = fetch("http://api.two.example/alpha");
@@ -116,7 +116,7 @@ TEST_F(ApFixture, MalformedDelegationHeaderFallsBackToDefaults) {
   ASSERT_TRUE(out->ok());
   EXPECT_EQ(out->value().status, 200);
   EXPECT_EQ(out->value().total_body_bytes(), 10'000u);
-  EXPECT_EQ(bed->ap().delegations_performed(), 1u);
+  EXPECT_EQ(bed->ap().lookup_stats().delegated_fetches(), 1u);
 }
 
 TEST_F(ApFixture, DummyIpShortCircuitWhenAllCached) {
@@ -237,7 +237,7 @@ TEST_F(ApFixture, TtlExpiryReturnsToDelegation) {
   const auto result = fetch("http://api.two.example/alpha");
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.source, ClientRuntime::Source::ApDelegated);
-  EXPECT_EQ(bed->ap().delegations_performed(), 2u);
+  EXPECT_EQ(bed->ap().lookup_stats().delegated_fetches(), 2u);
 }
 
 TEST_F(ApFixture, RegularDnsForwardingServesNonApeClients) {
@@ -296,6 +296,9 @@ TEST_F(ApFixture, ResetCacheRestoresColdState) {
   fetch("http://api.two.example/alpha");
   bed->ap().reset_cache();
   EXPECT_EQ(bed->ap().data_cache().entry_count(), 0u);
+  // The whole ledger restarts cold, the clear's own removals included.
+  EXPECT_EQ(bed->ap().lookup_stats().lookups(), 0u);
+  EXPECT_EQ(bed->ap().data_cache().removals(cache::RemovalCause::Cleared), 0u);
   EXPECT_EQ(bed->ap().memory_bytes(),
             bed->ap().config().base_memory_bytes + bed->ap().config().runtime_memory_bytes);
   const auto result = fetch("http://api.two.example/alpha");

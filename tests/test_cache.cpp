@@ -287,11 +287,31 @@ TEST(CacheStatistics, ResetClears) {
   EXPECT_EQ(s.lookups(), 0u);
 }
 
-TEST(CacheStatistics, DelegationsCountAsMisses) {
+TEST(CacheStatistics, DelegationsAreNotMisses) {
   CacheStatistics s;
   s.record_delegation(1);
-  EXPECT_EQ(s.misses(), 1u);
+  EXPECT_EQ(s.misses(), 0u);
   EXPECT_EQ(s.delegations(), 1u);
+  EXPECT_EQ(s.lookups(), 1u);
+}
+
+TEST(CacheStatistics, SumAddsEveryTally) {
+  CacheStatistics a;
+  a.record_hit(2);
+  a.record_delegated_fetch();
+  a.record_delegation_insert();
+  CacheStatistics b;
+  b.record_miss(2);
+  b.record_delegation(1);
+  b.record_revalidation();
+  a += b;
+  EXPECT_EQ(a.hits(), 1u);
+  EXPECT_EQ(a.misses(), 1u);
+  EXPECT_EQ(a.delegations(), 1u);
+  EXPECT_EQ(a.delegated_fetches(), 1u);
+  EXPECT_EQ(a.revalidations(), 1u);
+  EXPECT_EQ(a.delegation_inserts(), 1u);
+  EXPECT_DOUBLE_EQ(a.high_priority_hit_ratio(), 0.5);
 }
 
 }  // namespace

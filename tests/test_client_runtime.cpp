@@ -69,7 +69,7 @@ TEST_F(ClientFixture, UnregisteredUrlTakesEdgePath) {
   const auto result = fetch("http://api.other.example/obj");
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.source, ClientRuntime::Source::EdgeServer);
-  EXPECT_EQ(bed->ap().delegations_performed(), 0u);
+  EXPECT_EQ(bed->ap().lookup_stats().delegated_fetches(), 0u);
 }
 
 TEST_F(ClientFixture, QueryParametersDoNotChangeCacheIdentity) {

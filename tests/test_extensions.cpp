@@ -191,7 +191,7 @@ TEST_F(RevalidationFixture, RefreshesExpiredEntryWith304) {
 
   const auto refreshed = fetch();
   ASSERT_TRUE(refreshed.success);
-  EXPECT_EQ(bed->ap().revalidations_performed(), 1u);
+  EXPECT_EQ(bed->ap().lookup_stats().revalidations(), 1u);
   // The refreshed copy is live again: the next fetch is a plain hit.
   const auto hit = fetch();
   EXPECT_EQ(hit.source, core::ClientRuntime::Source::ApCache);
@@ -213,8 +213,8 @@ TEST_F(RevalidationFixture, DisabledByDefaultDoesFullPull) {
   ASSERT_TRUE(fetch().success);
   bed->simulator().run_until(bed->simulator().now() + sim::minutes(2.0));
   ASSERT_TRUE(fetch().success);
-  EXPECT_EQ(bed->ap().revalidations_performed(), 0u);
-  EXPECT_EQ(bed->ap().delegations_performed(), 2u);
+  EXPECT_EQ(bed->ap().lookup_stats().revalidations(), 0u);
+  EXPECT_EQ(bed->ap().lookup_stats().delegated_fetches(), 2u);
 }
 
 // -------------------------------------------------------- multi-client

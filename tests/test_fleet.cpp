@@ -452,14 +452,12 @@ TEST(FleetAnalytics, PerApPlanesReconcileAndExportGatedKeys) {
   ASSERT_TRUE(fetch_and_run(bed, alice, url).success);  // local hit
 
   // One plane per AP, each reconciling exactly against its own runtime's
-  // CacheStatistics (misses() folds delegations in; the plane splits them).
+  // CacheStatistics.
   for (std::size_t i = 0; i < bed.ap_count(); ++i) {
     ASSERT_NE(bed.analytics(i), nullptr) << "ap" << i;
     const cache::CacheStatistics& stats = bed.ap(i).lookup_stats();
-    EXPECT_TRUE(bed.analytics(i)
-                    ->reconcile(stats.hits(), stats.misses() - stats.delegations(),
-                                stats.delegations())
-                    .empty())
+    EXPECT_TRUE(
+        bed.analytics(i)->reconcile(stats.hits(), stats.misses(), stats.delegations()).empty())
         << "ap" << i;
   }
   EXPECT_GT(bed.analytics(0)->hits() + bed.analytics(0)->misses() +
@@ -490,6 +488,43 @@ TEST(FleetAnalytics, DefaultFleetExportsNoAnalyticsKeys) {
   const std::string json = obs::to_json(bed.observer().metrics());
   EXPECT_EQ(json.find("cache.evict."), std::string::npos);
   EXPECT_EQ(json.find("cache.mrc."), std::string::npos);
+}
+
+// ----------------------------------------------------------- cache ledger
+
+// The shared registry's ledger names carry the sum of the APs' own ledgers.
+TEST(FleetLedger, SharedRegistryMirrorsTheSumOfApLedgers) {
+  FleetParams params;
+  params.ap_count = 4;
+  params.enable_peer_probe = false;  // every AP fills and hits its own cache
+  FleetTestbed bed(params);
+  const auto app = two_object_app();
+  bed.host_app(app);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    auto& client = add_registered_client(bed, app, "client" + std::to_string(i), i);
+    for (std::uint32_t round = 0; round <= i; ++round) {
+      ASSERT_TRUE(fetch_and_run(bed, client, app.requests[0].url).success);
+    }
+    if (i % 2 == 0) ASSERT_TRUE(fetch_and_run(bed, client, app.requests[1].url).success);
+  }
+  bed.collect_metrics();
+
+  std::uint64_t hits = 0, misses = 0, flags = 0, inserts = 0, delegations = 0;
+  for (std::size_t i = 0; i < bed.ap_count(); ++i) {
+    const cache::CacheStatistics& ledger = bed.ap(i).lookup_stats();
+    hits += ledger.hits();
+    misses += ledger.misses();
+    flags += ledger.delegations();
+    inserts += ledger.delegation_inserts();
+    delegations += ledger.delegated_fetches();
+  }
+  ASSERT_GT(hits, bed.ap(0).lookup_stats().hits()) << "hits must come from several APs";
+  ASSERT_GT(delegations, 0u);
+  EXPECT_EQ(counter(bed, "ap.cache.hit"), hits);
+  EXPECT_EQ(counter(bed, "ap.cache.miss"), misses);
+  EXPECT_EQ(counter(bed, "ap.cache.delegation"), flags);
+  EXPECT_EQ(counter(bed, "ap.cache.inserts"), inserts);
+  EXPECT_EQ(counter(bed, "ap.delegations"), delegations);
 }
 
 // ------------------------------------------------------------ back half

@@ -385,8 +385,52 @@ TEST_F(TracedFixture, RepeatedCollectMetricsDoesNotDoubleCount) {
   const auto& hist = bed->observer().metrics().histogram("span.client.request_ms", "ms");
   const auto count = hist.count();
   ASSERT_GT(count, 0u);
-  bed->collect_metrics();  // cursor makes re-collection idempotent
+  bed->collect_metrics();  // each closed span is folded once
   EXPECT_EQ(hist.count(), count);
+}
+
+// Timeline ticks call collect_metrics while spans are still open; each
+// closed span must still reach its span.<name>_ms histogram exactly once,
+// however fine the tick, and a span left open across the whole run must
+// hold back no span closed after it.
+TEST(SpanMetrics, TimelineTicksFoldEveryClosedSpanOnce) {
+  const auto folded_spans = [](const testbed::Testbed& bed) {
+    std::uint64_t folded = 0;
+    for (const auto& [name, entry] : bed.observer().metrics().histograms()) {
+      if (name.starts_with("span.") && name.ends_with("_ms")) folded += entry.histogram.count();
+    }
+    return folded;
+  };
+  for (const bool leave_one_open : {false, true}) {
+    for (const sim::Duration tick : {sim::milliseconds(7), sim::seconds(5.0)}) {
+      SCOPED_TRACE(testing::Message() << "tick " << sim::to_millis(tick) << " ms, "
+                                      << (leave_one_open ? "one span left open" : "drained"));
+      testbed::TestbedParams params;
+      params.enable_spans = true;
+      params.enable_timeline = true;
+      params.timeline_interval = tick;
+      testbed::Testbed bed(params);
+      obs::SpanLog& log = bed.observer().spans();
+      obs::TraceContext straggler;
+      if (leave_one_open) {
+        straggler = log.open_root("test.straggler", "test", "", bed.simulator().now());
+      }
+      const std::vector<workload::AppSpec> apps{workload::make_movie_trailer()};
+      testbed::WorkloadConfig config;
+      config.duration = sim::minutes(2.0);
+      (void)testbed::run_workload(bed, apps, config);
+
+      ASSERT_EQ(log.open_count(), leave_one_open ? 1u : 0u);
+      ASSERT_EQ(log.dropped(), 0u);
+      ASSERT_GT(log.recorded(), 100u);
+      EXPECT_EQ(folded_spans(bed), log.recorded() - log.open_count());
+      if (!leave_one_open) continue;
+      log.close(straggler, bed.simulator().now());
+      bed.collect_metrics();
+      EXPECT_EQ(folded_spans(bed), log.recorded());
+      EXPECT_EQ(bed.observer().metrics().histogram("span.test.straggler_ms", "ms").count(), 1u);
+    }
+  }
 }
 
 // --- Perfetto export -------------------------------------------------------

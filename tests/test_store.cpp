@@ -489,6 +489,37 @@ TEST_F(RestartFixture, PostRecoveryExportIsByteIdenticalAcrossReplays) {
   EXPECT_NE(first.find("ap.flash.journal_replays"), std::string::npos);
 }
 
+// The mirrored ledger names describe the live ApRuntime incarnation: after
+// a restart they drop the first incarnation's tallies, in step with
+// ap.delegations and ap.cache.evictions.
+TEST_F(RestartFixture, MirroredLedgerDescribesTheRestartedIncarnation) {
+  build(tiered_params());
+  fetch_all(*bed, *client, app);  // repeat lookups: the first incarnation hits too
+  ASSERT_GT(bed->ap().lookup_stats().hits(), 0u);
+  bed->restart_ap(/*preserve_flash=*/false);
+  auto& phone = bed->add_client("phone2");
+  for (auto& spec : app.cacheables()) phone.runtime->register_cacheable(spec);
+  fetch_all(*bed, phone, app);
+  fetch_all(*bed, phone, app);
+  bed->collect_metrics();
+
+  const auto& counters = bed->observer().metrics().counters();
+  const auto counter = [&counters](const std::string& name) -> std::uint64_t {
+    const auto it = counters.find(name);
+    return it == counters.end() ? ~std::uint64_t{0} : it->second.value();
+  };
+  const cache::CacheStatistics& ledger = bed->ap().lookup_stats();
+  ASSERT_GT(ledger.hits(), 0u);
+  ASSERT_GT(ledger.delegation_inserts(), 0u);
+  ASSERT_GT(bed->ap().data_cache().evictions(), 0u);
+  EXPECT_EQ(counter("ap.cache.hit"), ledger.hits());
+  EXPECT_EQ(counter("ap.cache.miss"), ledger.misses());
+  EXPECT_EQ(counter("ap.cache.delegation"), ledger.delegations());
+  EXPECT_EQ(counter("ap.cache.inserts"), ledger.delegation_inserts());
+  EXPECT_EQ(counter("ap.delegations"), ledger.delegated_fetches());
+  EXPECT_EQ(counter("ap.cache.evictions"), bed->ap().data_cache().evictions());
+}
+
 TEST_F(RestartFixture, PeriodicSweepReclaimsExpiredRamBytes) {
   auto params = tiered_params();
   params.ape.sweep_interval = sim::seconds(30.0);

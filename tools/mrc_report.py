@@ -12,8 +12,6 @@ contracts independently of the C++ code:
     1 - hit_weight / total_weight at every point;
   * weight conservation — cold + overflow + reuse (last hit_weight) weight
     sums to total_weight, and sampled <= accesses;
-  * attribution partition — per-app hits/misses/delegations sum to the
-    plane totals (every lookup is attributed to exactly one app);
   * rollup consistency — the fleet rollup's evict ledger and totals equal
     the per-AP sums.
 
@@ -98,17 +96,6 @@ def check_profiler(where: str, label: str, prof: dict) -> list[str]:
     return errors
 
 
-def check_attribution(where: str, ap: dict) -> list[str]:
-    errors = []
-    totals = ap["totals"]
-    for field in ("hits", "misses", "delegations"):
-        per_app = sum(tally[field] for tally in ap["apps"].values())
-        if per_app != totals[field]:
-            errors.append(f"{where}: per-app {field} sum {per_app} != "
-                          f"totals.{field} {totals[field]} (partition broken)")
-    return errors
-
-
 def check_rollup(doc: dict) -> list[str]:
     errors = []
     aps = doc["mrc"]["aps"]
@@ -146,7 +133,6 @@ def validate(doc: dict) -> list[str]:
         where = ap["name"]
         for label, prof in ap["profilers"].items():
             errors += check_profiler(where, label, prof)
-        errors += check_attribution(where, ap)
     for label, prof in doc["mrc"]["rollup"]["profilers"].items():
         errors += check_profiler("rollup", label, prof)
     errors += check_rollup(doc)
@@ -275,7 +261,7 @@ def main() -> int:
         aps = doc["mrc"]["aps"]
         curves = sum(len(ap["profilers"]) for ap in aps)
         print(f"OK: {len(aps)} AP(s), {curves} curve(s) validated; curves are "
-              "monotone, weights conserve, and the app partition reconciles")
+              "monotone, weights conserve, and the rollup sums the APs")
         return 0
 
     report(doc)
